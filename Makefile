@@ -18,7 +18,7 @@ CHAOSADDR := 127.0.0.1:39141
 # duplicates, injected 500s and delays, all on the seeded schedule.
 CHAOSWIRE := drop=0.05,droprsp=0.05,dup=0.1,err=0.1,delay=0.2:5ms
 
-.PHONY: build vet lint test race fuzz bbcheck tbfcheck sweep-smoke gridsweep-smoke gridchaos-smoke bench-replay bench-replay-check check
+.PHONY: build vet lint test race fuzz bbcheck tbfcheck sweep-smoke gridsweep-smoke gridchaos-smoke bench-replay bench-replay-check bench-system bench-system-check check
 
 build:
 	$(GO) build ./...
@@ -135,6 +135,17 @@ bench-replay:
 bench-replay-check:
 	$(GO) run ./cmd/benchreplay -check-only
 
+# Full-prototype benchmark: the BenchmarkScheduling scenario (Workload 1,
+# adaptive two-group, seeds 1-3 through cluster + pfs + LDMS + SOS +
+# analytics + slurm), appended to the BENCH_system.json trajectory. The
+# check fails when allocs/op grows more than 10% past the last entry;
+# wall time is recorded but not gated.
+bench-system:
+	$(GO) run ./cmd/benchsystem -label "make bench-system"
+
+bench-system-check:
+	$(GO) run ./cmd/benchsystem -check-only
+
 # Go allows one -fuzz target per invocation, so each runs separately.
 fuzz:
 	$(GO) test ./internal/restrack -run='^$$' -fuzz=FuzzProfile -fuzztime=$(FUZZTIME)
@@ -143,5 +154,6 @@ fuzz:
 	$(GO) test ./internal/sched -run='^$$' -fuzz=FuzzTwoGroupSplit -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/lint/analysis -run='^$$' -fuzz=FuzzParseAllows -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/tbf -run='^$$' -fuzz=FuzzRedistribute -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/sos -run='^$$' -fuzz=FuzzContainer -fuzztime=$(FUZZTIME)
 
 check: vet lint race bbcheck tbfcheck sweep-smoke gridsweep-smoke gridchaos-smoke fuzz

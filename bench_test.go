@@ -293,16 +293,9 @@ func BenchmarkReplaySWF(b *testing.B) {
 // how fast the full prototype chews through Workload 1 (720 jobs, ~6 h of
 // simulated time) end to end.
 func BenchmarkScheduling(b *testing.B) {
-	specs := workload.Workload1()
 	b.ReportAllocs()
-	policy := sched.AdaptivePolicy{
-		TotalNodes:      experiments.Nodes,
-		ThroughputLimit: experiments.Limit20,
-		TwoGroup:        true,
-	}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunWorkload(
-			experiments.DefaultOptions(policy, uint64(i+1)), specs, false, "bench")
+		res, err := experiments.RunSchedulingBench(uint64(i + 1))
 		if err != nil {
 			b.Fatal(err)
 		}

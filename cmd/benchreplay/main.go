@@ -14,7 +14,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -23,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"wasched/internal/benchtraj"
 	"wasched/internal/experiments"
 	"wasched/internal/pfs"
 	"wasched/internal/sched"
@@ -153,7 +153,7 @@ func run() error {
 			entry.Farm.SerialCellsPerSec, entry.Farm.ParallelCellsPerSec, entry.Farm.AllocsPerOp)
 	}
 
-	history, err := readHistory(*out)
+	history, err := benchtraj.Read[Entry](*out)
 	if err != nil {
 		return err
 	}
@@ -166,11 +166,7 @@ func run() error {
 		return nil
 	}
 	history = append(history, entry)
-	data, err := json.MarshalIndent(history, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
+	if err := benchtraj.Write(*out, history); err != nil {
 		return err
 	}
 	fmt.Printf("appended entry %d to %s\n", len(history), *out)
@@ -203,23 +199,6 @@ func measureFarm() *FarmBench {
 	fb.SerialCellsPerSec, fb.AllocsPerOp = run(1)
 	fb.ParallelCellsPerSec, _ = run(runtime.GOMAXPROCS(0))
 	return fb
-}
-
-// readHistory loads the trajectory file; a missing file is an empty
-// history.
-func readHistory(path string) ([]Entry, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var history []Entry
-	if err := json.Unmarshal(data, &history); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return history, nil
 }
 
 // lastWithPolicies finds the most recent entry carrying per-policy replay

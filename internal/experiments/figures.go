@@ -86,6 +86,14 @@ func RunFig5(key string, seed uint64) (*RunResult, error) {
 		"fig5"+key+": "+v.Label)
 }
 
+// RunSchedulingBench runs the full-prototype benchmark scenario shared by
+// BenchmarkScheduling and cmd/benchsystem: Workload 1 under the adaptive
+// two-group policy at 20 GiB/s, without pre-training.
+func RunSchedulingBench(seed uint64) (*RunResult, error) {
+	policy := sched.AdaptivePolicy{TotalNodes: Nodes, ThroughputLimit: Limit20, TwoGroup: true}
+	return RunWorkload(DefaultOptions(policy, seed), workload.Workload1(), false, "bench")
+}
+
 // Fig4Point is one box of paper Fig. 4: the distribution of the total
 // Lustre throughput while k "write×8" jobs run concurrently.
 type Fig4Point struct {

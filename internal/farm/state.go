@@ -199,33 +199,51 @@ func (s *state) lookup(c Cell) (*Outcome, bool, error) {
 // record journals a finished cell and, on success, persists its payload to
 // the cache (atomically, via rename) so an interrupted sweep resumes
 // without recomputing it.
+//
+// The journal line is written first, so a cache entry only ever exists
+// for a cell whose done record is durable. In the other order, a writer
+// stopped between the cache rename and the journal append (a killed
+// coordinator, or a store closed under an in-flight admission) left a
+// cached cell whose latest journal event was still its lease: the resumed
+// sweep served it from the cache, never journaled it done, and
+// ReadStatus reported it remaining forever. Stopped after the append but
+// before the rename, the cell has a done record and no payload; resume
+// misses the cache, recomputes the cell and journals it again.
 func (s *state) record(out *Outcome) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var payload []byte
 	if out.Status == StatusDone {
 		b, err := json.Marshal(out)
 		if err != nil {
 			return fmt.Errorf("farm: cache %s: %w", out.Cell, err)
 		}
-		path := s.cachePath(out.Cell.Key())
-		tmp := path + ".tmp"
-		//waschedlint:allow lockdiscipline s.mu exists to serialize exactly this cache+journal write; workers block on record by design
-		if err := os.WriteFile(tmp, b, 0o644); err != nil {
-			return fmt.Errorf("farm: cache %s: %w", out.Cell, err)
-		}
-		//waschedlint:allow lockdiscipline the rename completes the atomic cache write the mutex serializes
-		if err := os.Rename(tmp, path); err != nil {
-			return fmt.Errorf("farm: cache %s: %w", out.Cell, err)
-		}
+		payload = b
 	}
 	cell := out.Cell
 	//waschedlint:allow lockdiscipline append is the serialized journal write s.mu protects; callers hold mu by contract
-	return s.append(journalRecord{
+	if err := s.append(journalRecord{
 		Event: string(out.Status),
 		Key:   out.Cell.Key(),
 		Cell:  &cell,
 		Err:   out.Err,
-	})
+	}); err != nil {
+		return err
+	}
+	if payload == nil {
+		return nil
+	}
+	path := s.cachePath(out.Cell.Key())
+	tmp := path + ".tmp"
+	//waschedlint:allow lockdiscipline s.mu exists to serialize exactly this cache+journal write; workers block on record by design
+	if err := os.WriteFile(tmp, payload, 0o644); err != nil {
+		return fmt.Errorf("farm: cache %s: %w", out.Cell, err)
+	}
+	//waschedlint:allow lockdiscipline the rename completes the atomic cache write the mutex serializes
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("farm: cache %s: %w", out.Cell, err)
+	}
+	return nil
 }
 
 func (s *state) begin(cells, cached int) error {

@@ -276,3 +276,111 @@ func TestReadStatusExpiries(t *testing.T) {
 		t.Fatalf("latest-state tallies skewed by expiry counting: %+v", st)
 	}
 }
+
+// TestRecordJournalsBeforeCaching: an admission whose journal append
+// fails — here because the journal was closed under it, as when a
+// coordinator is stopped with an upload in flight — must leave no cache
+// entry. A cached cell without a done record would be served from the
+// cache on resume and never journaled, so ReadStatus would count it as
+// remaining forever.
+func TestRecordJournalsBeforeCaching(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir, "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Begin(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	cell := Cell{Experiment: "t", Config: "a", Seed: 1}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out := &Outcome{Cell: cell, Status: StatusDone, Payload: json.RawMessage(`1`)}
+	if err := st.Record(out); err == nil {
+		t.Fatal("Record on a closed journal must fail")
+	}
+	if _, ok, err := st.Lookup(cell); ok || err != nil {
+		t.Fatalf("unjournaled admission left a cache entry (hit %v, err %v)", ok, err)
+	}
+
+	st2, err := OpenStore(dir, "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := st2.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	if err := st2.Record(out); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := st2.Lookup(cell); !ok || err != nil {
+		t.Fatalf("journaled admission must be cached (hit %v, err %v)", ok, err)
+	}
+	status, err := ReadStatus(dir, "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status.Done != 1 || status.Remaining != 0 {
+		t.Fatalf("status: %+v", status)
+	}
+}
+
+// TestRecordCacheFailureAfterJournal: when the cache write fails after the
+// done line is journaled, Record reports the error and the cell stays a
+// cache miss; a retried Record then succeeds and caches the payload.
+func TestRecordCacheFailureAfterJournal(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir, "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := st.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	if err := st.Begin(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	cell := Cell{Experiment: "t", Config: "a", Seed: 1}
+	// A non-empty directory where the cache entry belongs makes the
+	// rename onto it fail.
+	entry := filepath.Join(dir, "cache", cell.Key()+".json")
+	if err := os.MkdirAll(filepath.Join(entry, "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	out := &Outcome{Cell: cell, Status: StatusDone, Payload: json.RawMessage(`1`)}
+	if err := st.Record(out); err == nil {
+		t.Fatal("Record must fail when the cache rename fails")
+	}
+	status, err := ReadStatus(dir, "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status.Done != 1 {
+		t.Fatalf("the done line precedes the cache write and must be durable: %+v", status)
+	}
+
+	if err := os.RemoveAll(entry); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := st.Lookup(cell); ok || err != nil {
+		t.Fatalf("failed cache write left an entry (hit %v, err %v)", ok, err)
+	}
+	if err := st.Record(out); err != nil {
+		t.Fatalf("retried Record: %v", err)
+	}
+	if _, ok, err := st.Lookup(cell); !ok || err != nil {
+		t.Fatalf("retried admission must be cached (hit %v, err %v)", ok, err)
+	}
+	status, err = ReadStatus(dir, "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status.Done != 1 || status.Remaining != 0 {
+		t.Fatalf("status after retry: %+v", status)
+	}
+}

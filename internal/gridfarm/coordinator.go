@@ -500,9 +500,14 @@ func (c *Coordinator) complete(req CompleteRequest) (CompleteResponse, error) {
 	wasLeased := e.status == cellLeased
 	if c.store != nil {
 		if err := c.store.Record(&out); err != nil {
-			// The admission was not journaled, so it must not be
-			// acknowledged: the 500 this becomes tells the worker to retry
-			// the upload, and StoreErrors counts the near-miss.
+			// The admission must not be acknowledged: the 500 this
+			// becomes tells the worker to retry the upload, and
+			// StoreErrors counts the near-miss. The error may come after
+			// the done line is already durable, when the cache write
+			// failed; ReadStatus then counts the cell done while it is
+			// still open here. The retry appends another done line and
+			// caches the payload, and a resume that misses the cache
+			// recomputes the cell, so both paths stay correct.
 			c.stats.StoreErrors++
 			return CompleteResponse{}, err
 		}

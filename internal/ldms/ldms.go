@@ -50,6 +50,12 @@ type Config struct {
 	// trimmed after each aggregation flush. Zero keeps everything. Must
 	// comfortably exceed the analytics ThroughputWindow and the longest
 	// job runtime, since job usage is computed from these records.
+	//
+	// Memory per node is one ring of slots, each holding a timestamp and
+	// the schema's four counters (40 bytes). The ring's capacity is the
+	// smallest power of two >= the records retained per node, at most
+	// Retention/SampleInterval + AggregateInterval/SampleInterval + 1:
+	// 8192 slots (320 KiB) per node for the default 2 h at 1 Hz.
 	Retention des.Duration
 }
 
@@ -125,16 +131,23 @@ func Start(eng *des.Engine, fs *pfs.FileSystem, store *sos.Store, nodes []string
 			start()
 		}
 	}
-	stop := eng.Ticker(cfg.AggregateInterval, "ldms/aggregate", func(now des.Time) {
-		d.flush()
-		if cfg.Retention > 0 && now > des.Time(cfg.Retention) {
-			d.container.Trim(now.Add(-cfg.Retention))
-		}
-	})
+	stop := eng.Ticker(cfg.AggregateInterval, "ldms/aggregate", d.aggregate)
 	d.stops = append(d.stops, stop)
 	return d, nil
 }
 
+// aggregate is the aggregator's tick: flush the buffered samples, then
+// trim records that fell out of the retention window.
+func (d *Daemon) aggregate(now des.Time) {
+	d.flush()
+	if d.cfg.Retention > 0 && now > des.Time(d.cfg.Retention) {
+		d.container.Trim(now.Add(-d.cfg.Retention))
+	}
+}
+
+// sample buffers one node's counters until the next flush.
+//
+//waschedlint:hotpath
 func (d *Daemon) sample(node string, now des.Time) {
 	c := d.fs.NodeCounters(node)
 	d.samples++
@@ -145,6 +158,11 @@ func (d *Daemon) sample(node string, now des.Time) {
 	})
 }
 
+// flush appends the buffered samples to the container. Once the
+// container's rings and the buffer have grown to their steady-state size,
+// it allocates nothing.
+//
+//waschedlint:hotpath
 func (d *Daemon) flush() {
 	for i := range d.pending {
 		r := &d.pending[i]

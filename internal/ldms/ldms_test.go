@@ -9,7 +9,7 @@ import (
 	"wasched/internal/sos"
 )
 
-func quietFS(t *testing.T, eng *des.Engine) *pfs.FileSystem {
+func quietFS(t testing.TB, eng *des.Engine) *pfs.FileSystem {
 	t.Helper()
 	cfg := pfs.DefaultConfig()
 	cfg.NoiseSigma = 0

@@ -73,10 +73,13 @@ func hasPathPrefix(path, prefix string) bool {
 //     scheduler, the resource trackers, the pfs, bb and tbf models and
 //     the validators that check them.
 //   - hotalloc runs on the replay hot path's packages (des, sched, pfs,
-//     schedcheck, bb, tbf); it only fires inside //waschedlint:hotpath
-//     functions and their package-local callees. The tbf tick runs once
-//     per simulated second, so its settle/redistribute/cap pass must not
-//     allocate.
+//     schedcheck, bb, tbf) and on the monitoring pipeline (sos, ldms); it
+//     only fires inside //waschedlint:hotpath functions and their
+//     package-local callees. The tbf tick runs once per simulated second,
+//     so its settle/redistribute/cap pass must not allocate; likewise the
+//     LDMS sample and flush and the SOS append, trim and DeltaOver query
+//     run every sampling period, and only the ring's doubling, a source's
+//     first registration and error returns may allocate there.
 func Suite() []ScopedAnalyzer {
 	return []ScopedAnalyzer{
 		{
@@ -153,6 +156,8 @@ func Suite() []ScopedAnalyzer {
 				"wasched/internal/schedcheck",
 				"wasched/internal/bb",
 				"wasched/internal/tbf",
+				"wasched/internal/sos",
+				"wasched/internal/ldms",
 			},
 		},
 	}

@@ -35,11 +35,13 @@ func (st *Store) Save(w io.Writer) error {
 		wc := wireContainer{Schema: c.schema}
 		for _, src := range c.sources {
 			s := c.bySource[src]
-			wc.Sources = append(wc.Sources, wireSeries{
-				Source: src,
-				Times:  s.times,
-				Values: s.values,
-			})
+			ser := wireSeries{Source: src, Times: make([]des.Time, s.n), Values: make([][]float64, s.n)}
+			for i := 0; i < s.n; i++ {
+				k := s.slot(i)
+				ser.Times[i] = s.times[k]
+				ser.Values[i] = s.row(k)
+			}
+			wc.Sources = append(wc.Sources, ser)
 		}
 		ws.Containers = append(ws.Containers, wc)
 	}
@@ -95,11 +97,12 @@ func (c *Container) ExportCSV(w io.Writer) error {
 	}
 	for _, src := range c.sources {
 		s := c.bySource[src]
-		for i := range s.times {
-			if _, err := fmt.Fprintf(w, "%s,%.6f", src, s.times[i].Seconds()); err != nil {
+		for i := 0; i < s.n; i++ {
+			k := s.slot(i)
+			if _, err := fmt.Fprintf(w, "%s,%.6f", src, s.times[k].Seconds()); err != nil {
 				return err
 			}
-			for _, v := range s.values[i] {
+			for _, v := range s.row(k) {
 				if _, err := fmt.Fprintf(w, ",%g", v); err != nil {
 					return err
 				}

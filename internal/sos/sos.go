@@ -8,11 +8,15 @@
 // this layer explicit — instead of letting the scheduler read simulator
 // ground truth — preserves the estimate-versus-reality gap that the paper's
 // design contends with.
+//
+// Each source's records live in a power-of-two ring buffer, so retention
+// trimming only advances the ring's head and a steady-state append (one
+// record in, older records trimmed out) reuses slots instead of
+// allocating.
 package sos
 
 import (
 	"fmt"
-	"sort"
 
 	"wasched/internal/des"
 )
@@ -54,11 +58,14 @@ func (s Schema) Column(metric string) int {
 	return -1
 }
 
-// Record is one appended sample as returned by queries.
+// Record is one appended sample as returned by queries. Values is a copy
+// owned by the caller: ring slots are reused once trimmed records are
+// overwritten, so a returned record never aliases container storage and
+// stays unchanged however the container moves on.
 type Record struct {
 	At     des.Time
 	Source string
-	Values []float64 // aligned with Schema.Metrics; do not mutate
+	Values []float64 // aligned with Schema.Metrics
 }
 
 // Value returns the record's value in the given schema column.
@@ -68,16 +75,67 @@ func (r Record) Value(col int) float64 { return r.Values[col] }
 // by source and time.
 type Container struct {
 	schema Schema
-	// Per-source column stores. Records within a source are strictly
+	// Per-source ring buffers. Records within a source are strictly
 	// ordered by time (samplers emit monotonically).
 	bySource map[string]*series
 	sources  []string // deterministic iteration order
 	count    int
 }
 
+// series is one source's records in a ring: logical record i (0 = oldest)
+// sits in physical slot (head+i) & (cap-1), with its time in times and
+// its row in values[slot*width : (slot+1)*width]. The capacity is zero or
+// a power of two and only doubles when the ring is full.
 type series struct {
 	times  []des.Time
-	values [][]float64 // one row per record
+	values []float64
+	width  int
+	head   int
+	n      int
+}
+
+// row returns the values of physical slot k.
+func (s *series) row(k int) []float64 { return s.values[k*s.width : (k+1)*s.width] }
+
+// slot maps a logical record index to its physical slot.
+func (s *series) slot(i int) int { return (s.head + i) & (len(s.times) - 1) }
+
+// search returns the first logical index whose time is >= t (or > t when
+// strict), or s.n if there is none.
+func (s *series) search(t des.Time, strict bool) int {
+	lo, hi := 0, s.n
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if at := s.times[s.slot(m)]; at < t || strict && at == t {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// grow doubles the ring's capacity, unrolling the retained records to the
+// front of the new buffers.
+func (s *series) grow() {
+	c := 2 * len(s.times)
+	if c == 0 {
+		c = 1
+	}
+	//waschedlint:allow hotalloc doubling a full ring is amortised O(1) and stops once retention bounds the record count
+	times, values := make([]des.Time, c), make([]float64, c*s.width)
+	for i := 0; i < s.n; i++ {
+		k := s.slot(i)
+		times[i] = s.times[k]
+		copy(values[i*s.width:], s.row(k))
+	}
+	s.times, s.values, s.head = times, values, 0
+}
+
+// record returns a copy of logical record i.
+func (s *series) record(source string, i int) Record {
+	k := s.slot(i)
+	return Record{At: s.times[k], Source: source, Values: append([]float64(nil), s.row(k)...)}
 }
 
 // Store is a named collection of containers.
@@ -149,26 +207,36 @@ func (c *Container) Sources() []string {
 }
 
 // Append adds one record. Values must match the schema width, and time must
-// not go backwards within a source (samplers are monotone).
+// not go backwards within a source (samplers are monotone). Once the ring
+// holds as many slots as the retained records need, Append allocates
+// nothing.
+//
+//waschedlint:hotpath
 func (c *Container) Append(source string, at des.Time, values []float64) error {
-	if len(values) != len(c.schema.Metrics) {
-		return fmt.Errorf("sos: container %q: got %d values, schema has %d",
-			c.schema.Name, len(values), len(c.schema.Metrics))
+	width := len(c.schema.Metrics)
+	if len(values) != width {
+		//waschedlint:allow hotalloc the error return formats its message once, off the steady state
+		return fmt.Errorf("sos: container %q: got %d values, schema has %d", c.schema.Name, len(values), width)
 	}
 	s, ok := c.bySource[source]
 	if !ok {
-		s = &series{}
+		s = &series{width: width} //waschedlint:allow hotalloc first-seen source registration happens once per source
 		c.bySource[source] = s
 		c.sources = append(c.sources, source)
 	}
-	if n := len(s.times); n > 0 && at < s.times[n-1] {
-		return fmt.Errorf("sos: container %q source %q: time %v precedes last %v",
-			c.schema.Name, source, at, s.times[n-1])
+	if s.n > 0 {
+		if last := s.times[s.slot(s.n-1)]; at < last {
+			//waschedlint:allow hotalloc the error return formats its message once, off the steady state
+			return fmt.Errorf("sos: container %q source %q: time %v precedes last %v", c.schema.Name, source, at, last)
+		}
 	}
-	row := make([]float64, len(values))
-	copy(row, values)
-	s.times = append(s.times, at)
-	s.values = append(s.values, row)
+	if s.n == len(s.times) {
+		s.grow()
+	}
+	k := s.slot(s.n)
+	s.times[k] = at
+	copy(s.row(k), values)
+	s.n++
 	c.count++
 	return nil
 }
@@ -190,11 +258,10 @@ func (c *Container) RangeBySource(source string, lo, hi des.Time) []Record {
 	if !ok {
 		return nil
 	}
-	i := sort.Search(len(s.times), func(k int) bool { return s.times[k] >= lo })
-	j := sort.Search(len(s.times), func(k int) bool { return s.times[k] >= hi })
-	out := make([]Record, 0, j-i)
+	i, j := s.search(lo, false), s.search(hi, false)
+	out := make([]Record, 0, max(j-i, 0))
 	for k := i; k < j; k++ {
-		out = append(out, Record{At: s.times[k], Source: source, Values: s.values[k]})
+		out = append(out, s.record(source, k))
 	}
 	return out
 }
@@ -202,14 +269,14 @@ func (c *Container) RangeBySource(source string, lo, hi des.Time) []Record {
 // LastBefore returns the newest record of a source with At <= at.
 func (c *Container) LastBefore(source string, at des.Time) (Record, bool) {
 	s, ok := c.bySource[source]
-	if !ok || len(s.times) == 0 {
+	if !ok {
 		return Record{}, false
 	}
-	i := sort.Search(len(s.times), func(k int) bool { return s.times[k] > at }) - 1
+	i := s.search(at, true) - 1
 	if i < 0 {
 		return Record{}, false
 	}
-	return Record{At: s.times[i], Source: source, Values: s.values[i]}, true
+	return s.record(source, i), true
 }
 
 // FirstAfter returns the oldest record of a source with At >= at.
@@ -218,17 +285,19 @@ func (c *Container) FirstAfter(source string, at des.Time) (Record, bool) {
 	if !ok {
 		return Record{}, false
 	}
-	i := sort.Search(len(s.times), func(k int) bool { return s.times[k] >= at })
-	if i >= len(s.times) {
+	i := s.search(at, false)
+	if i >= s.n {
 		return Record{}, false
 	}
-	return Record{At: s.times[i], Source: source, Values: s.values[i]}, true
+	return s.record(source, i), true
 }
 
 // DeltaOver computes, for one source and one metric column, the increase of
 // a cumulative counter over [lo, hi], interpolating linearly between
 // samples at the boundaries. It returns false when the source has no
 // samples bracketing any part of the window.
+//
+//waschedlint:hotpath
 func (c *Container) DeltaOver(source string, col int, lo, hi des.Time) (float64, bool) {
 	if hi <= lo {
 		return 0, false
@@ -245,18 +314,19 @@ func (c *Container) DeltaOver(source string, col int, lo, hi des.Time) (float64,
 // interpolation (clamped to the first/last sample).
 func (c *Container) interp(source string, col int, t des.Time) (float64, bool) {
 	s, ok := c.bySource[source]
-	if !ok || len(s.times) == 0 {
+	if !ok || s.n == 0 {
 		return 0, false
 	}
-	i := sort.Search(len(s.times), func(k int) bool { return s.times[k] >= t })
+	i := s.search(t, false)
 	if i == 0 {
-		return s.values[0][col], true
+		return s.row(s.slot(0))[col], true
 	}
-	if i == len(s.times) {
-		return s.values[len(s.times)-1][col], true
+	if i == s.n {
+		return s.row(s.slot(s.n - 1))[col], true
 	}
-	t0, t1 := s.times[i-1], s.times[i]
-	v0, v1 := s.values[i-1][col], s.values[i][col]
+	k0, k1 := s.slot(i-1), s.slot(i)
+	t0, t1 := s.times[k0], s.times[k1]
+	v0, v1 := s.row(k0)[col], s.row(k1)[col]
 	if t1 == t0 {
 		return v1, true
 	}
@@ -265,18 +335,21 @@ func (c *Container) interp(source string, col int, t des.Time) (float64, bool) {
 }
 
 // Trim discards records older than the cutoff to bound memory during long
-// runs. Records exactly at the cutoff are retained.
+// runs. Records exactly at the cutoff are retained. Trimming advances each
+// ring's head and moves no records.
+//
+//waschedlint:hotpath
 func (c *Container) Trim(before des.Time) int {
 	removed := 0
 	for _, src := range c.sources {
 		s := c.bySource[src]
-		i := sort.Search(len(s.times), func(k int) bool { return s.times[k] >= before })
+		i := s.search(before, false)
 		if i == 0 {
 			continue
 		}
 		removed += i
-		s.times = append(s.times[:0], s.times[i:]...)
-		s.values = append(s.values[:0], s.values[i:]...)
+		s.head = s.slot(i)
+		s.n -= i
 	}
 	c.count -= removed
 	return removed

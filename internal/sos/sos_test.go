@@ -99,6 +99,13 @@ func TestAppendAndRange(t *testing.T) {
 	if got := c.RangeBySource("ghost", ts(0), ts(100)); got != nil {
 		t.Fatal("unknown source must return nil")
 	}
+	// An inverted window holds no records.
+	if got := c.RangeBySource("n1", ts(6), ts(3)); len(got) != 0 {
+		t.Fatalf("inverted range by source: %+v", got)
+	}
+	if got := c.Range(ts(9), ts(0)); len(got) != 0 {
+		t.Fatalf("inverted range: %+v", got)
+	}
 }
 
 func TestAppendErrors(t *testing.T) {
