@@ -24,18 +24,13 @@ type state struct {
 	name    string
 	mu      sync.Mutex
 	journal *os.File
-	// repairedTail is how many torn-tail bytes openState truncated from
-	// the journal before appending — non-zero exactly when the previous
-	// writer died mid-append.
-	repairedTail int64
 }
 
 // journalRecord is one JSON line of the checkpoint journal.
 type journalRecord struct {
 	// Event is "begin" (sweep started: Cells total, Cached already on
-	// disk), "done", "failed", or one of the grid lifecycle events
-	// (EventLease, EventLeaseExpired, EventQuarantine) a distributed
-	// coordinator appends.
+	// disk), "done" or "failed". Readers skip any other event, so
+	// journals that carry events this version does not write still load.
 	Event  string    `json:"event"`
 	At     time.Time `json:"at"`
 	Cells  int       `json:"cells,omitempty"`
@@ -43,8 +38,6 @@ type journalRecord struct {
 	Key    string    `json:"key,omitempty"`
 	Cell   *Cell     `json:"cell,omitempty"`
 	Err    string    `json:"error,omitempty"`
-	// Worker names the worker a grid event is attributed to.
-	Worker string `json:"worker,omitempty"`
 }
 
 func openState(dir, name string) (*state, error) {
@@ -55,25 +48,19 @@ func openState(dir, name string) (*state, error) {
 	// mid-append leaves a partial final line, and appending after it would
 	// glue the next record onto the fragment — turning a tolerable torn
 	// tail into mid-journal corruption that poisons every later read.
-	repaired, err := repairJournalTail(journalPath(dir, name))
-	if err != nil {
+	if err := repairJournalTail(journalPath(dir, name)); err != nil {
 		return nil, err
 	}
 	j, err := os.OpenFile(journalPath(dir, name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("farm: journal: %w", err)
 	}
-	return &state{dir: dir, name: name, journal: j, repairedTail: repaired}, nil
+	return &state{dir: dir, name: name, journal: j}, nil
 }
 
 func journalPath(dir, name string) string {
 	return filepath.Join(dir, name+".journal.jsonl")
 }
-
-// JournalPath returns the checkpoint journal file for a sweep in a state
-// dir — exported for the chaos harness, which tears journal tails the way
-// a kill mid-append would.
-func JournalPath(dir, name string) string { return journalPath(dir, name) }
 
 // repairJournalTail truncates the torn tail a killed writer left behind:
 // at most one trailing unparsable line (or unterminated fragment) is
@@ -81,17 +68,16 @@ func JournalPath(dir, name string) string { return journalPath(dir, name) }
 // re-terminated instead of dropped (it was fully written and synced).
 // Corruption anywhere before the tail is journal damage, not a torn tail,
 // and surfaces as an error — repairing it silently would forge history.
-// It returns the number of bytes truncated.
-func repairJournalTail(path string) (int64, error) {
+func repairJournalTail(path string) error {
 	b, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return 0, nil
+		return nil
 	}
 	if err != nil {
-		return 0, fmt.Errorf("farm: journal: %w", err)
+		return fmt.Errorf("farm: journal: %w", err)
 	}
 	if len(b) == 0 {
-		return 0, nil
+		return nil
 	}
 	parses := func(line []byte) bool {
 		line = bytes.TrimSpace(line)
@@ -116,40 +102,39 @@ func repairJournalTail(path string) (int64, error) {
 		switch {
 		case !parses(content):
 			if badLine != 0 {
-				return 0, fmt.Errorf("farm: journal %s damaged: corrupt line %d is not a torn tail (line %d is also corrupt); run `wasched sweep clean -state-dir %s` and repair by hand", filepath.Base(path), badLine, line, filepath.Dir(path))
+				return fmt.Errorf("farm: journal %s damaged: corrupt line %d is not a torn tail (line %d is also corrupt); run `wasched sweep clean -state-dir %s` and repair by hand", filepath.Base(path), badLine, line, filepath.Dir(path))
 			}
 			badLine = line
 		case badLine != 0:
-			return 0, fmt.Errorf("farm: journal %s damaged: corrupt line %d is not a torn tail (line %d follows it); run `wasched sweep clean -state-dir %s` and repair by hand", filepath.Base(path), badLine, line, filepath.Dir(path))
+			return fmt.Errorf("farm: journal %s damaged: corrupt line %d is not a torn tail (line %d follows it); run `wasched sweep clean -state-dir %s` and repair by hand", filepath.Base(path), badLine, line, filepath.Dir(path))
 		case nl < 0:
 			// Fully written record that lost only its newline to the kill:
 			// complete it rather than dropping a synced admission.
 			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
-				return 0, fmt.Errorf("farm: journal: %w", err)
+				return fmt.Errorf("farm: journal: %w", err)
 			}
 			if _, err := f.WriteString("\n"); err != nil {
 				//waschedlint:allow checkederr the write error is already being returned; close is best-effort cleanup
 				f.Close()
-				return 0, fmt.Errorf("farm: journal: %w", err)
+				return fmt.Errorf("farm: journal: %w", err)
 			}
 			if err := f.Close(); err != nil {
-				return 0, fmt.Errorf("farm: journal: %w", err)
+				return fmt.Errorf("farm: journal: %w", err)
 			}
-			return 0, nil
+			return nil
 		default:
 			validEnd = end
 		}
 		off = end
 	}
-	dropped := int64(len(b) - validEnd)
-	if dropped == 0 {
-		return 0, nil
+	if validEnd == len(b) {
+		return nil
 	}
 	if err := os.Truncate(path, int64(validEnd)); err != nil {
-		return 0, fmt.Errorf("farm: truncating torn journal tail: %w", err)
+		return fmt.Errorf("farm: truncating torn journal tail: %w", err)
 	}
-	return dropped, nil
+	return nil
 }
 
 // close releases the journal. Every append already fsyncs, so a close
@@ -201,14 +186,13 @@ func (s *state) lookup(c Cell) (*Outcome, bool, error) {
 // without recomputing it.
 //
 // The journal line is written first, so a cache entry only ever exists
-// for a cell whose done record is durable. In the other order, a writer
-// stopped between the cache rename and the journal append (a killed
-// coordinator, or a store closed under an in-flight admission) left a
-// cached cell whose latest journal event was still its lease: the resumed
-// sweep served it from the cache, never journaled it done, and
-// ReadStatus reported it remaining forever. Stopped after the append but
-// before the rename, the cell has a done record and no payload; resume
-// misses the cache, recomputes the cell and journals it again.
+// for a cell whose done record is durable. In the other order, a sweep
+// killed between the cache rename and the journal append left a cached
+// cell with no done record: the resumed sweep served it from the cache,
+// never journaled it done, and ReadStatus reported it remaining forever.
+// Stopped after the append but before the rename, the cell has a done
+// record and no payload; resume misses the cache, recomputes the cell and
+// journals it again.
 func (s *state) record(out *Outcome) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -320,24 +304,12 @@ type SweepStatus struct {
 	// the latest run, so Done = CacheHits + Computed for a consistent
 	// journal.
 	CacheHits, Computed int
-	// Leased and Quarantined count the cells currently in those grid
-	// states — non-zero only for state dirs written by a distributed
-	// coordinator (wasched sweep serve).
-	Leased, Quarantined int
-	// Expiries counts every lease-expired event across all runs — the
-	// journal's cumulative record of worker crashes, stalls and dropped
-	// heartbeats (unlike Leased/Quarantined, which reflect only each
-	// cell's latest state).
-	Expiries int
 	// Runs counts begin records (1 = never resumed).
 	Runs int
 	// LastEvent is the timestamp of the newest journal line.
 	LastEvent time.Time
-	// FailedCells lists the cells whose latest outcome failed, sorted;
-	// QuarantinedCells likewise for cells pulled after repeated lease
-	// expiries.
-	FailedCells      []Cell
-	QuarantinedCells []Cell
+	// FailedCells lists the cells whose latest outcome failed, sorted.
+	FailedCells []Cell
 }
 
 // ReadStatus parses a sweep's checkpoint journal from a state dir.
@@ -361,10 +333,7 @@ func ReadStatus(dir, name string) (*SweepStatus, error) {
 			st.Cells = rec.Cells
 			st.CacheHits = rec.Cached
 			lastBegin = idx
-		case string(StatusDone), string(StatusFailed), EventLease, EventLeaseExpired, EventQuarantine:
-			if rec.Event == EventLeaseExpired {
-				st.Expiries++
-			}
+		case string(StatusDone), string(StatusFailed):
 			if rec.Key != "" {
 				if _, seen := latest[rec.Key]; !seen {
 					keys = append(keys, rec.Key)
@@ -392,20 +361,10 @@ func ReadStatus(dir, name string) (*SweepStatus, error) {
 			if k.rec.Cell != nil {
 				st.FailedCells = append(st.FailedCells, *k.rec.Cell)
 			}
-		case EventLease:
-			st.Leased++
-		case EventQuarantine:
-			st.Quarantined++
-			if k.rec.Cell != nil {
-				st.QuarantinedCells = append(st.QuarantinedCells, *k.rec.Cell)
-			}
 		}
 	}
 	sort.Slice(st.FailedCells, func(a, b int) bool {
 		return st.FailedCells[a].String() < st.FailedCells[b].String()
-	})
-	sort.Slice(st.QuarantinedCells, func(a, b int) bool {
-		return st.QuarantinedCells[a].String() < st.QuarantinedCells[b].String()
 	})
 	if st.Cells > 0 {
 		st.Remaining = st.Cells - st.Done

@@ -3,9 +3,11 @@ package farm
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -180,8 +182,10 @@ func TestRepairJournalTail(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open over torn tail: %v", err)
 	}
-	if st.repairedTail == 0 {
-		t.Fatal("torn tail was not repaired")
+	if b, err := os.ReadFile(journalPath(dir, "s")); err != nil {
+		t.Fatal(err)
+	} else if strings.Contains(string(b), `"key":"bb`) {
+		t.Fatalf("torn tail was not repaired:\n%s", b)
 	}
 	// The next append must land on its own line: the journal stays fully
 	// parsable with the fragment gone and the new record present.
@@ -220,8 +224,10 @@ func TestRepairJournalTailCompleteLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.repairedTail != 0 {
-		t.Fatalf("complete line must not be truncated, dropped %d bytes", st.repairedTail)
+	if b, err := os.ReadFile(journalPath(dir, "s")); err != nil {
+		t.Fatal(err)
+	} else if !strings.HasSuffix(string(b), `{"event":"done","key":"aaaa"}`+"\n") {
+		t.Fatalf("complete line must be re-terminated, not truncated:\n%s", b)
 	}
 	if err := st.append(journalRecord{Event: "done", Key: "bbbb"}); err != nil {
 		t.Fatal(err)
@@ -253,70 +259,121 @@ func TestRepairJournalMidstreamDamage(t *testing.T) {
 	}
 }
 
-// TestReadStatusExpiries: lease-expired events accumulate across runs in
-// the status view — the journal's record of worker churn.
-func TestReadStatusExpiries(t *testing.T) {
+// TestReadStatusLegacyGridEvents: journals written by the retired
+// distributed coordinator carry lease, lease-expired and quarantine lines
+// with a worker field. They must still load: a cell whose only events are
+// grid events never finished, so it counts as remaining, and a local Run
+// over the state dir executes it exactly once while serving the finished
+// cell from the cache.
+func TestReadStatusLegacyGridEvents(t *testing.T) {
 	dir := t.TempDir()
-	journalWrite(t, dir, "s",
-		`{"event":"begin","cells":1}`,
-		`{"event":"lease","key":"aaaa","worker":"w1"}`,
-		`{"event":"lease-expired","key":"aaaa","worker":"w1"}`,
-		`{"event":"lease","key":"aaaa","worker":"w2"}`,
-		`{"event":"lease-expired","key":"aaaa","worker":"w2"}`,
-		`{"event":"done","key":"aaaa"}`,
-	)
-	st, err := ReadStatus(dir, "s")
+	done := Cell{Experiment: "t", Config: "done", Seed: 1}
+	leased := Cell{Experiment: "t", Config: "leased", Seed: 1}
+	quarantined := Cell{Experiment: "t", Config: "quarantined", Seed: 1}
+	cells := []Cell{done, leased, quarantined}
+
+	st, err := openState(dir, "s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Expiries != 2 {
-		t.Fatalf("want 2 cumulative expiries, got %+v", st)
+	if err := st.begin(len(cells), 0); err != nil {
+		t.Fatal(err)
 	}
-	if st.Done != 1 || st.Leased != 0 {
-		t.Fatalf("latest-state tallies skewed by expiry counting: %+v", st)
+	if err := st.record(runCell(context.Background(), simExec, done, true)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.close(); err != nil {
+		t.Fatal(err)
+	}
+	grid := func(event string, c Cell, worker string) string {
+		cell, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf(`{"event":%q,"at":"2026-01-02T03:04:05Z","key":%q,"cell":%s,"worker":%q}`, event, c.Key(), cell, worker)
+	}
+	journalWrite(t, dir, "s",
+		grid("lease", leased, "w1"),
+		grid("lease-expired", leased, "w1"),
+		grid("lease", leased, "w2"),
+		grid("lease", quarantined, "w1"),
+		grid("lease-expired", quarantined, "w1"),
+		grid("quarantine", quarantined, "w1"),
+	)
+
+	status, err := ReadStatus(dir, "s")
+	if err != nil {
+		t.Fatalf("legacy journal must parse: %v", err)
+	}
+	if status.Cells != 3 || status.Done != 1 || status.Failed != 0 || status.Remaining != 2 {
+		t.Fatalf("grid-only cells must count as remaining: %+v", status)
+	}
+
+	var mu sync.Mutex
+	runs := map[Cell]int{}
+	exec := func(ctx context.Context, c Cell) (any, error) {
+		mu.Lock()
+		runs[c]++
+		mu.Unlock()
+		return simExec(ctx, c)
+	}
+	sum, err := Run(context.Background(), "s", cells, exec, Options{Workers: 2, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Done != 3 || sum.Cached != 1 || sum.Failed != 0 {
+		t.Fatalf("resume over legacy journal: %+v", sum)
+	}
+	if runs[done] != 0 || runs[leased] != 1 || runs[quarantined] != 1 {
+		t.Fatalf("want the two unfinished cells executed once each, got %v", runs)
+	}
+	if status, err = ReadStatus(dir, "s"); err != nil {
+		t.Fatal(err)
+	}
+	if status.Done != 3 || status.Remaining != 0 {
+		t.Fatalf("status after resume: %+v", status)
 	}
 }
 
 // TestRecordJournalsBeforeCaching: an admission whose journal append
-// fails — here because the journal was closed under it, as when a
-// coordinator is stopped with an upload in flight — must leave no cache
-// entry. A cached cell without a done record would be served from the
-// cache on resume and never journaled, so ReadStatus would count it as
-// remaining forever.
+// fails — here because the journal was closed under it, as when a sweep
+// is stopped with a cell in flight — must leave no cache entry. A cached
+// cell without a done record would be served from the cache on resume and
+// never journaled, so ReadStatus would count it as remaining forever.
 func TestRecordJournalsBeforeCaching(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStore(dir, "s")
+	st, err := openState(dir, "s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Begin(1, 0); err != nil {
+	if err := st.begin(1, 0); err != nil {
 		t.Fatal(err)
 	}
 	cell := Cell{Experiment: "t", Config: "a", Seed: 1}
-	if err := st.Close(); err != nil {
+	if err := st.close(); err != nil {
 		t.Fatal(err)
 	}
 	out := &Outcome{Cell: cell, Status: StatusDone, Payload: json.RawMessage(`1`)}
-	if err := st.Record(out); err == nil {
-		t.Fatal("Record on a closed journal must fail")
+	if err := st.record(out); err == nil {
+		t.Fatal("record on a closed journal must fail")
 	}
-	if _, ok, err := st.Lookup(cell); ok || err != nil {
+	if _, ok, err := st.lookup(cell); ok || err != nil {
 		t.Fatalf("unjournaled admission left a cache entry (hit %v, err %v)", ok, err)
 	}
 
-	st2, err := OpenStore(dir, "s")
+	st2, err := openState(dir, "s")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
-		if err := st2.Close(); err != nil {
+		if err := st2.close(); err != nil {
 			t.Error(err)
 		}
 	}()
-	if err := st2.Record(out); err != nil {
+	if err := st2.record(out); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := st2.Lookup(cell); !ok || err != nil {
+	if _, ok, err := st2.lookup(cell); !ok || err != nil {
 		t.Fatalf("journaled admission must be cached (hit %v, err %v)", ok, err)
 	}
 	status, err := ReadStatus(dir, "s")
@@ -329,20 +386,20 @@ func TestRecordJournalsBeforeCaching(t *testing.T) {
 }
 
 // TestRecordCacheFailureAfterJournal: when the cache write fails after the
-// done line is journaled, Record reports the error and the cell stays a
-// cache miss; a retried Record then succeeds and caches the payload.
+// done line is journaled, record reports the error and the cell stays a
+// cache miss; a retried record then succeeds and caches the payload.
 func TestRecordCacheFailureAfterJournal(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStore(dir, "s")
+	st, err := openState(dir, "s")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
-		if err := st.Close(); err != nil {
+		if err := st.close(); err != nil {
 			t.Error(err)
 		}
 	}()
-	if err := st.Begin(1, 0); err != nil {
+	if err := st.begin(1, 0); err != nil {
 		t.Fatal(err)
 	}
 	cell := Cell{Experiment: "t", Config: "a", Seed: 1}
@@ -353,8 +410,8 @@ func TestRecordCacheFailureAfterJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := &Outcome{Cell: cell, Status: StatusDone, Payload: json.RawMessage(`1`)}
-	if err := st.Record(out); err == nil {
-		t.Fatal("Record must fail when the cache rename fails")
+	if err := st.record(out); err == nil {
+		t.Fatal("record must fail when the cache rename fails")
 	}
 	status, err := ReadStatus(dir, "s")
 	if err != nil {
@@ -367,13 +424,13 @@ func TestRecordCacheFailureAfterJournal(t *testing.T) {
 	if err := os.RemoveAll(entry); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := st.Lookup(cell); ok || err != nil {
+	if _, ok, err := st.lookup(cell); ok || err != nil {
 		t.Fatalf("failed cache write left an entry (hit %v, err %v)", ok, err)
 	}
-	if err := st.Record(out); err != nil {
-		t.Fatalf("retried Record: %v", err)
+	if err := st.record(out); err != nil {
+		t.Fatalf("retried record: %v", err)
 	}
-	if _, ok, err := st.Lookup(cell); !ok || err != nil {
+	if _, ok, err := st.lookup(cell); !ok || err != nil {
 		t.Fatalf("retried admission must be cached (hit %v, err %v)", ok, err)
 	}
 	status, err = ReadStatus(dir, "s")

@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -29,10 +30,6 @@ func TestTickerstop(t *testing.T) {
 
 func TestCheckederr(t *testing.T) {
 	linttest.Run(t, "testdata/src/checkederr", lint.Checkederr)
-}
-
-func TestCtxdeadline(t *testing.T) {
-	linttest.Run(t, "testdata/src/ctxdeadline", lint.Ctxdeadline)
 }
 
 func TestFloatguard(t *testing.T) {
@@ -76,6 +73,35 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("%s: %s: %s", fset.Position(d.Pos), d.Analyzer, d.Message)
+	}
+}
+
+// TestSuiteScopesExist: every Include/Exclude prefix in the production
+// suite must name at least one package of the module. A prefix left
+// behind when its package is deleted guards nothing, and would otherwise
+// go unnoticed.
+func TestSuiteScopesExist(t *testing.T) {
+	out, err := exec.Command("go", "list", "wasched/...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	pkgs := strings.Fields(string(out))
+	if len(pkgs) == 0 {
+		t.Fatal("go list returned no packages")
+	}
+	for _, sa := range lint.Suite() {
+		for _, prefix := range append(append([]string(nil), sa.Include...), sa.Exclude...) {
+			found := false
+			for _, p := range pkgs {
+				if p == prefix || strings.HasPrefix(p, prefix+"/") {
+					found = true
+					break
+				}
+			}
+			if !found {
+				t.Errorf("%s: scope %q names no package under wasched/...", sa.Analyzer.Name, prefix)
+			}
+		}
 	}
 }
 

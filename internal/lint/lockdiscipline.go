@@ -13,10 +13,10 @@ import (
 
 // Lockdiscipline flags blocking operations — file I/O, outbound HTTP,
 // channel operations, time.Sleep, WaitGroup waits — performed while a
-// sync.Mutex or sync.RWMutex is provably held. Holding a fabric lock
+// sync.Mutex or sync.RWMutex is provably held. Holding a shared lock
 // across I/O is how a slow disk or a half-open socket freezes every
-// worker behind one coordinator mutex; the chaos drills catch the runtime
-// symptom, this analyzer catches the shape.
+// worker queued behind that mutex; this analyzer catches the shape
+// before a stalled run shows the symptom.
 //
 // "Provably held" is a must-analysis over the function's control-flow
 // graph: a lock locked on every path into a statement and not yet

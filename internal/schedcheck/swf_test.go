@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"wasched/internal/des"
 	"wasched/internal/sched"
 	"wasched/internal/workload"
 )
@@ -14,11 +15,18 @@ const sampleSWF = `; header
 2  60   -1 120  28 -1 -1  28  -1 -1 1 8 1 1 1 -1 -1 -1
 3  120  -1 900 112 -1 -1 112 1000 -1 1 7 1 1 1 -1 -1 -1
 5  240  -1 600 9999 -1 -1 9999 900 -1 1 7 1 1 1 -1 -1 -1
+6  300   0 100 1e30 -1 -1 1e30 200 -1 -1 1
+7  300   0 1e30  4 -1 -1   4  -1 -1 -1 1
+8  1e30  0 100   4 -1 -1   4 200 -1 -1 1
+9  300   0 100   4 -1 -1   4 1e30 -1 -1 1
 `
 
 // TestSimJobsFromSWFMirrorsParseSWF proves the replay converter and the
 // full-prototype converter agree on shape and on which jobs carry
-// synthetic I/O — they consume the same deterministic stream.
+// synthetic I/O — they consume the same deterministic stream. Rows 6-9
+// carry fields far past any real trace: they must land in the same quirk
+// counters, and row 9's oversized request must fall back to twice the
+// runtime, in both converters.
 func TestSimJobsFromSWFMirrorsParseSWF(t *testing.T) {
 	opts := workload.DefaultSWFOptions()
 	opts.IOFraction = 0.5
@@ -32,8 +40,11 @@ func TestSimJobsFromSWFMirrorsParseSWF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if quirks.TooWide != 1 {
-		t.Fatalf("quirks: %+v", quirks)
+	if quirks != full.Quirks || quirks.TooWide != 2 || quirks.BadRuntime != 1 || quirks.BadSubmit != 1 {
+		t.Fatalf("quirks: replay %+v, full %+v", quirks, full.Quirks)
+	}
+	if last := sims[len(sims)-1]; last.ID != "swf-9" || last.Limit != 260*des.Second {
+		t.Fatalf("row 9 limit: %+v", last)
 	}
 	if len(sims) != len(full.Jobs) {
 		t.Fatalf("sim jobs %d != full jobs %d", len(sims), len(full.Jobs))

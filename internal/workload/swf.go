@@ -103,6 +103,13 @@ func SWFBBBytes(nodes int, opts SWFOptions, rand float64) float64 {
 	return float64(nodes) * opts.BBGiBPerNode * pfs.GiB
 }
 
+// swfMaxSeconds bounds every SWF time field: submit, runtime and requested
+// time. A century is far past any archive trace, and it keeps every
+// derived simulation time (submit + twice the runtime + margin) well
+// inside des's int64 microsecond clock. A corrupt value such as 1e30
+// would otherwise overflow the conversion into a negative time.
+const swfMaxSeconds = 100 * 365 * 24 * 3600
+
 // SWFRecord is one usable data row of an SWF trace, in the raw units of
 // the format (seconds and processors). Field numbering follows the archive
 // spec: 1 job number, 2 submit time, 4 run time, 8 requested processors
@@ -126,12 +133,13 @@ type SWFQuirks struct {
 	// ShortLines counts non-comment rows with fewer than 12 fields
 	// (skipped).
 	ShortLines int
-	// BadSubmit counts rows whose submit time is negative or unparseable,
-	// including the format's -1 missing-value sentinel (skipped).
+	// BadSubmit counts rows whose submit time is negative, unparseable or
+	// past a century, including the format's -1 missing-value sentinel
+	// (skipped).
 	BadSubmit int
-	// BadRuntime counts rows whose runtime is non-positive or unparseable
-	// — -1 sentinels, the 0 of jobs cancelled before start, and negative
-	// runtimes from broken accounting (skipped).
+	// BadRuntime counts rows whose runtime is non-positive, unparseable
+	// or past a century — -1 sentinels, the 0 of jobs cancelled before
+	// start, and negative runtimes from broken accounting (skipped).
 	BadRuntime int
 	// BadProcs counts rows with no positive processor count in either the
 	// requested or the allocated field (skipped).
@@ -237,10 +245,11 @@ func ParseSWFRecords(r io.Reader) ([]SWFRecord, SWFQuirks, error) {
 			rec.Procs = num(4) // fall back to allocated processors
 		}
 		switch {
-		case rec.Submit < 0 || math.IsNaN(rec.Submit) || math.IsInf(rec.Submit, 0):
+		// The negated comparisons also reject NaN.
+		case !(rec.Submit >= 0 && rec.Submit <= swfMaxSeconds):
 			quirks.BadSubmit++
 			continue
-		case rec.Runtime <= 0 || math.IsNaN(rec.Runtime) || math.IsInf(rec.Runtime, 0):
+		case !(rec.Runtime > 0 && rec.Runtime <= swfMaxSeconds):
 			quirks.BadRuntime++
 			continue
 		case rec.Procs <= 0 || math.IsNaN(rec.Procs) || math.IsInf(rec.Procs, 0):
@@ -261,13 +270,18 @@ func ParseSWFRecords(r io.Reader) ([]SWFRecord, SWFQuirks, error) {
 }
 
 // SWFNodes converts a record's processor count to a node count under opts
-// (ceil division, minimum one node).
+// (ceil division, minimum one node). A count too large for an int
+// saturates at math.MaxInt32, so it is counted too wide rather than
+// overflowing into a small or negative width.
 func SWFNodes(rec SWFRecord, opts SWFOptions) int {
-	nodes := int(math.Ceil(rec.Procs / float64(opts.CoresPerNode)))
-	if nodes < 1 {
-		nodes = 1
+	nodes := math.Ceil(rec.Procs / float64(opts.CoresPerNode))
+	switch {
+	case nodes > math.MaxInt32:
+		return math.MaxInt32
+	case nodes < 1:
+		return 1
 	}
-	return nodes
+	return int(nodes)
 }
 
 // SWFShape is the policy-visible shape of one converted SWF job, shared
@@ -284,13 +298,15 @@ type SWFShape struct {
 }
 
 // ShapeSWF applies opts to one record that already passed the width check.
+// A requested time that is missing, shorter than the runtime or past a
+// century falls back to twice the runtime.
 // rand is this record's I/O-assignment draw in [0,1) — the caller draws it
 // exactly once per surviving record, so every converter consumes the
 // deterministic stream identically (the same jobs do I/O in the full
 // prototype and in a lightweight replay).
 func ShapeSWF(rec SWFRecord, opts SWFOptions, rand float64) SWFShape {
 	limit := rec.ReqTime
-	if limit <= 0 || limit < rec.Runtime {
+	if !(limit > 0 && limit >= rec.Runtime && limit <= swfMaxSeconds) {
 		limit = rec.Runtime * 2
 	}
 	sh := SWFShape{Nodes: SWFNodes(rec, opts), Limit: limit + 60, Runtime: rec.Runtime}
