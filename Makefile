@@ -88,6 +88,7 @@ fuzz:
 	$(GO) test ./internal/restrack -run='^$$' -fuzz=FuzzTrackers -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sched -run='^$$' -fuzz=FuzzRunRound -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sched -run='^$$' -fuzz=FuzzTwoGroupSplit -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/sched -run='^$$' -fuzz=FuzzSessionMatchesNewRound -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/lint/analysis -run='^$$' -fuzz=FuzzParseAllows -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/tbf -run='^$$' -fuzz=FuzzRedistribute -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sos -run='^$$' -fuzz=FuzzContainer -fuzztime=$(FUZZTIME)

@@ -205,10 +205,6 @@ func policyLimit(p sched.Policy) float64 {
 		return q.ThroughputLimit
 	case sched.BBAwarePolicy:
 		return policyLimit(q.Inner)
-	case sched.TBFAwarePolicy:
-		// The token layer throttles at the clients, not at admission: the
-		// wrapper adds no R_limit of its own, only the inner policy's.
-		return policyLimit(q.Inner)
 	default:
 		return 0
 	}

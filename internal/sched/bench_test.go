@@ -64,6 +64,32 @@ func BenchmarkRoundAdaptive(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionRound measures one backfill round on the incremental
+// session path (Session.BeginRound plus the engine loop) per policy, over
+// the input of the from-scratch BenchmarkRound* benchmarks.
+func BenchmarkSessionRound(b *testing.B) {
+	for _, p := range []Policy{
+		NodePolicy{TotalNodes: 15},
+		IOAwarePolicy{TotalNodes: 15, ThroughputLimit: 20e9},
+		AdaptivePolicy{TotalNodes: 15, ThroughputLimit: 20e9, TwoGroup: true},
+		PlanPolicy{TotalNodes: 15, BBCapacity: 64e9, ThroughputLimit: 20e9},
+	} {
+		b.Run(p.Name(), func(b *testing.B) {
+			in := benchInput(500)
+			s := NewSession(p)
+			for _, j := range in.Running {
+				s.JobStarted(j)
+			}
+			opt := Options{MaxJobTest: 100}
+			var rn Runner
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rn.RunRound(p, s.BeginRound(in), in, opt)
+			}
+		})
+	}
+}
+
 // BenchmarkTwoGroupSplit isolates the threshold search (Eqs. 2-3) on a
 // 1550-job queue (Workload 2 size).
 func BenchmarkTwoGroupSplit(b *testing.B) {
@@ -71,6 +97,6 @@ func BenchmarkTwoGroupSplit(b *testing.B) {
 	p := AdaptivePolicy{TotalNodes: 15, ThroughputLimit: 20e9, TwoGroup: true}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p.twoGroupSplit(in.Waiting)
+		p.twoGroupSplit(in.Waiting, new(splitScratch))
 	}
 }

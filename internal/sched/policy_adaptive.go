@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"wasched/internal/des"
@@ -54,88 +53,15 @@ func (p AdaptivePolicy) validate() {
 	}
 }
 
-// NewRound implements Policy (Algorithm 5).
-func (p AdaptivePolicy) NewRound(in RoundInput) Round {
-	p.validate()
-	inner := IOAwarePolicy{TotalNodes: p.TotalNodes, ThroughputLimit: p.ThroughputLimit}
-	rt := inner.NewRound(in).(*ioAwareRound)
-
-	// Lines 3–5: the target throughput from the remaining I/O volume and
-	// the minimum node-constrained completion time of the backlog.
-	vIO := 0.0     // bytes: Σ r_j · (remaining or estimated runtime)
-	nodeSec := 0.0 // node·s: Σ n_j · (remaining or estimated runtime)
-	for _, j := range in.Running {
-		rem := j.remaining(in.Now).Seconds()
-		vIO += clampNonNeg(j.Rate) * rem
-		nodeSec += float64(j.Nodes) * rem
-	}
-	for _, j := range in.Waiting {
-		// A malformed queue entry (non-positive limit and no estimate, or
-		// negative nodes) must not enter the sums with negative weight: it
-		// would drag the target below the workload's real demand. The
-		// engine skips such jobs at decision time; skip them here too.
-		d := j.estRuntime().Seconds()
-		if d <= 0 || j.Nodes < 1 {
-			continue
-		}
-		vIO += clampNonNeg(j.Rate) * d
-		nodeSec += float64(j.Nodes) * d
-	}
-	target := 0.0 // R̃
-	if nodeSec > 0 {
-		target = vIO * float64(p.TotalNodes) / nodeSec
-	}
-
-	// Lines 6–8: two-group split of the waiting queue.
-	rStar, rZeroBar := p.twoGroupSplit(in.Waiting)
-	adjTarget := target - float64(p.TotalNodes)*rZeroBar // R̃' (Eq. 4)
-	if adjTarget < 0 {
-		adjTarget = 0
-	}
-
-	// Lines 9–11: the adjusted tracker, seeded with the running jobs'
-	// adjusted contributions r_j − n_j·r̄_zero (signed; see
-	// restrack.ReserveSigned).
-	at := restrack.NewBandwidthTracker(adjTarget)
-	for _, j := range in.Running {
-		// A running job's rate is an external estimate like any other: a
-		// NaN or negative value must not poison the adjusted tracker.
-		at.ReserveSigned(in.Now, j.StartedAt.Add(j.Limit), clampNonNeg(j.Rate)-float64(j.Nodes)*rZeroBar)
-	}
-	return &adaptiveRound{
-		p:        p,
-		rt:       rt,
-		at:       at,
-		rStar:    rStar,
-		rZeroBar: rZeroBar,
-		target:   target,
-	}
-}
-
-// clampNonNeg treats an invalid (negative or NaN) rate estimate as zero so
-// that it cannot push the target throughput R̃ negative or poison it.
-func clampNonNeg(r float64) float64 {
-	if r < 0 || math.IsNaN(r) {
-		return 0
-	}
-	return r
-}
+// NewRound implements Policy (Algorithm 5): the I/O-aware round of the
+// same limit with the target layer on top.
+func (p AdaptivePolicy) NewRound(in RoundInput) Round { return newRound(p, in) }
 
 // splitEntry is one queued job's contribution to the two-group split.
 type splitEntry struct {
 	ratio   float64 // r_j / n_j
 	nodeSec float64 // n_j · d_j
 	rate    float64 // r_j
-}
-
-// twoGroupSplit chooses the minimum threshold r* such that the zero group
-// holds at least QoSFraction of the queued node·seconds (Eq. 2), and
-// returns it with the zero group's average per-node load r̄_zero (Eq. 3).
-// With TwoGroup disabled it returns (0, 0): only genuinely zero-throughput
-// jobs form the zero group and no adjustment applies.
-func (p AdaptivePolicy) twoGroupSplit(waiting []*Job) (rStar, rZeroBar float64) {
-	var sc splitScratch
-	return p.twoGroupSplitInto(waiting, &sc)
 }
 
 // splitScratch is the two-group split's reusable buffer. It implements
@@ -150,10 +76,14 @@ func (s *splitScratch) Len() int           { return len(s.entries) }
 func (s *splitScratch) Less(a, b int) bool { return s.entries[a].ratio < s.entries[b].ratio }
 func (s *splitScratch) Swap(a, b int)      { s.entries[a], s.entries[b] = s.entries[b], s.entries[a] }
 
-// twoGroupSplitInto is twoGroupSplit with a caller-supplied scratch
-// buffer, reused across rounds — adaptive sessions call this every round,
-// and the entry slice was the split's dominant allocation.
-func (p AdaptivePolicy) twoGroupSplitInto(waiting []*Job, sc *splitScratch) (rStar, rZeroBar float64) {
+// twoGroupSplit chooses the minimum threshold r* such that the zero group
+// holds at least QoSFraction of the queued node·seconds (Eq. 2), and
+// returns it with the zero group's average per-node load r̄_zero (Eq. 3).
+// With TwoGroup disabled it returns (0, 0): only genuinely zero-throughput
+// jobs form the zero group and no adjustment applies. sc is reused across
+// rounds by sessions — the entry slice was the split's dominant
+// allocation.
+func (p AdaptivePolicy) twoGroupSplit(waiting []*Job, sc *splitScratch) (rStar, rZeroBar float64) {
 	sc.entries = sc.entries[:0]
 	if !p.TwoGroup || len(waiting) == 0 {
 		return 0, 0
@@ -221,13 +151,67 @@ func (p AdaptivePolicy) twoGroupSplitInto(waiting []*Job, sc *splitScratch) (rSt
 	return rStar, zeroLoad / zeroNodeSec
 }
 
+// adaptiveRound is the target layer of Algorithms 5–7 over the shared
+// I/O-aware round rt. The target, the two-group split and the adjusted
+// tracker AT are functions of this round's queue, so begin recomputes
+// them every round; sessions keep one adaptiveRound and reuse its AT
+// profile and split buffer.
 type adaptiveRound struct {
 	p        AdaptivePolicy
-	rt       *ioAwareRound
+	rt       *round
 	at       *restrack.BandwidthTracker
+	scratch  splitScratch
 	rStar    float64
 	rZeroBar float64
 	target   float64
+}
+
+// begin layers this round's target over rt (Algorithm 5).
+func (r *adaptiveRound) begin(in RoundInput, rt *round) {
+	// Lines 3–5: the target throughput from the remaining I/O volume and
+	// the minimum node-constrained completion time of the backlog.
+	vIO := 0.0     // bytes: Σ r_j · (remaining or estimated runtime)
+	nodeSec := 0.0 // node·s: Σ n_j · (remaining or estimated runtime)
+	for _, j := range in.Running {
+		rem := j.remaining(in.Now).Seconds()
+		vIO += clampNonNeg(j.Rate) * rem
+		nodeSec += float64(j.Nodes) * rem
+	}
+	for _, j := range in.Waiting {
+		// A malformed queue entry (non-positive limit and no estimate, or
+		// negative nodes) must not enter the sums with negative weight: it
+		// would drag the target below the workload's real demand. The
+		// engine skips such jobs at decision time; skip them here too.
+		d := j.estRuntime().Seconds()
+		if d <= 0 || j.Nodes < 1 {
+			continue
+		}
+		vIO += clampNonNeg(j.Rate) * d
+		nodeSec += float64(j.Nodes) * d
+	}
+	target := 0.0 // R̃
+	if nodeSec > 0 {
+		target = vIO * float64(r.p.TotalNodes) / nodeSec
+	}
+
+	// Lines 6–8: two-group split of the waiting queue.
+	rStar, rZeroBar := r.p.twoGroupSplit(in.Waiting, &r.scratch)
+	adjTarget := target - float64(r.p.TotalNodes)*rZeroBar // R̃' (Eq. 4)
+	if adjTarget < 0 {
+		adjTarget = 0
+	}
+
+	// Lines 9–11: the adjusted tracker, seeded with the running jobs'
+	// adjusted contributions r_j − n_j·r̄_zero (signed; see
+	// restrack.ReserveSigned).
+	r.at.Reset()
+	r.at.SetLimit(adjTarget)
+	for _, j := range in.Running {
+		// A running job's rate is an external estimate like any other: a
+		// NaN or negative value must not poison the adjusted tracker.
+		r.at.ReserveSigned(in.Now, j.StartedAt.Add(j.Limit), clampNonNeg(j.Rate)-float64(j.Nodes)*rZeroBar)
+	}
+	r.rt, r.rStar, r.rZeroBar, r.target = rt, rStar, rZeroBar, target
 }
 
 // isZeroJob applies the two-group classification r_j <= n_j·r*.

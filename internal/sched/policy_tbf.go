@@ -37,40 +37,4 @@ func (p TBFPolicy) validate() {
 
 // NewRound implements Policy. The reservation model is NodePolicy's: the
 // token layer, not the scheduler, owns bandwidth.
-func (p TBFPolicy) NewRound(in RoundInput) Round {
-	p.validate()
-	return NodePolicy{TotalNodes: p.TotalNodes}.NewRound(in)
-}
-
-// TBFAwarePolicy wraps any inner policy so its schedule runs under the
-// token-bucket bandwidth layer (the `tbf+<policy>` family). The wrapper
-// changes no scheduling decision — rounds and window ordering delegate to
-// the inner policy verbatim — it only renames the policy so traces and
-// ablations attribute the run to the combined configuration, and signals
-// the environment (core wiring, the replayer) to arm the token layer.
-type TBFAwarePolicy struct {
-	// Inner supplies the reservation model.
-	Inner Policy
-}
-
-// Name implements Policy.
-func (p TBFAwarePolicy) Name() string { return "tbf+" + p.Inner.Name() }
-
-func (p TBFAwarePolicy) validate() {
-	if p.Inner == nil {
-		panic("sched: TBFAwarePolicy needs an inner policy")
-	}
-}
-
-// NewRound implements Policy by delegating to the inner policy.
-func (p TBFAwarePolicy) NewRound(in RoundInput) Round {
-	p.validate()
-	return p.Inner.NewRound(in)
-}
-
-// OrderWindow implements WindowOrderer when the inner policy does.
-func (p TBFAwarePolicy) OrderWindow(in RoundInput, window []*Job) {
-	if wo, ok := p.Inner.(WindowOrderer); ok {
-		wo.OrderWindow(in, window)
-	}
-}
+func (p TBFPolicy) NewRound(in RoundInput) Round { return newRound(p, in) }

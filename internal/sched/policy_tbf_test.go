@@ -42,30 +42,6 @@ func TestTBFPolicyNames(t *testing.T) {
 	if got := (TBFPolicy{TotalNodes: 4, Straggler: true}).Name(); got != "tbf-straggler" {
 		t.Fatalf("straggler Name() = %q, want tbf-straggler", got)
 	}
-	if got := (TBFAwarePolicy{Inner: IOAwarePolicy{TotalNodes: 4, ThroughputLimit: 1}}).Name(); got != "tbf+io-aware" {
-		t.Fatalf("wrapper Name() = %q, want tbf+io-aware", got)
-	}
-}
-
-// The tbf+ wrapper must change no decision relative to its inner policy.
-func TestTBFAwareWrapperIsTransparent(t *testing.T) {
-	inner := IOAwarePolicy{TotalNodes: 10, ThroughputLimit: 20e9}
-	wrapped := TBFAwarePolicy{Inner: inner}
-	running := []*Job{{ID: "r1", Nodes: 4, Limit: des.Hour, Rate: 15e9}}
-	waiting := []*Job{
-		{ID: "w1", Nodes: 2, Limit: des.Hour, Rate: 10e9},
-		{ID: "w2", Nodes: 2, Limit: des.Hour, Rate: 1e9},
-	}
-	in := RoundInput{Now: 0, Running: running, Waiting: waiting, MeasuredThroughput: 15e9}
-	wr := wrapped.NewRound(in)
-	ir := inner.NewRound(in)
-	for _, j := range waiting {
-		wt, wok := wr.EarliestStart(j, in.Now)
-		it, iok := ir.EarliestStart(j, in.Now)
-		if wt != it || wok != iok {
-			t.Fatalf("job %s: wrapper EarliestStart (%v,%v) != inner (%v,%v)", j.ID, wt, wok, it, iok)
-		}
-	}
 }
 
 // The incremental sessions for the tbf family must exist (the replayer
@@ -74,7 +50,6 @@ func TestTBFSessionMatchesNewRound(t *testing.T) {
 	for _, p := range []Policy{
 		TBFPolicy{TotalNodes: 10},
 		TBFPolicy{TotalNodes: 10, Straggler: true},
-		TBFAwarePolicy{Inner: NodePolicy{TotalNodes: 10}},
 	} {
 		s := NewSession(p)
 		if s == nil {

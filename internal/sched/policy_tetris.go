@@ -38,14 +38,18 @@ type TetrisPolicy struct {
 // Name implements Policy.
 func (p TetrisPolicy) Name() string { return "tetris+" + p.Inner.Name() }
 
-// NewRound implements Policy by delegating to the inner policy.
-func (p TetrisPolicy) NewRound(in RoundInput) Round {
+func (p TetrisPolicy) validate() {
 	if p.Inner == nil {
 		panic("sched: TetrisPolicy needs an inner policy")
 	}
 	if p.TotalNodes <= 0 {
 		panic(fmt.Sprintf("sched: TetrisPolicy.TotalNodes must be positive, got %d", p.TotalNodes))
 	}
+}
+
+// NewRound implements Policy by delegating to the inner policy.
+func (p TetrisPolicy) NewRound(in RoundInput) Round {
+	p.validate()
 	return p.Inner.NewRound(in)
 }
 
@@ -54,7 +58,7 @@ func (p TetrisPolicy) NewRound(in RoundInput) Round {
 // vector, with the original queue position as the tiebreak.
 func (p TetrisPolicy) OrderWindow(in RoundInput, window []*Job) {
 	if p.TotalNodes <= 0 {
-		return // NewRound panics on this; don't divide by it here
+		return // NewRound and NewSession panic on this; don't divide by it here
 	}
 	availNodes := float64(p.TotalNodes)
 	availBW := p.ThroughputLimit
