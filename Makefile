@@ -88,10 +88,11 @@ fuzz:
 	$(GO) test ./internal/restrack -run='^$$' -fuzz=FuzzTrackers -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sched -run='^$$' -fuzz=FuzzRunRound -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sched -run='^$$' -fuzz=FuzzTwoGroupSplit -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/sched -run='^$$' -fuzz=FuzzSessionMatchesNewRound -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/sched -run='^$$' -fuzz=FuzzRunnerMatchesNewRound -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/lint/analysis -run='^$$' -fuzz=FuzzParseAllows -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/tbf -run='^$$' -fuzz=FuzzRedistribute -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sos -run='^$$' -fuzz=FuzzContainer -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzParseSWF -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/workload -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME)
 
 check: vet lint race bbcheck tbfcheck sweep-smoke fuzz

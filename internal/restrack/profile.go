@@ -51,28 +51,6 @@ func (p *Profile) Clone() *Profile {
 // Reset removes all reservations.
 func (p *Profile) Reset() { p.pts = p.pts[:0] }
 
-// CopyFrom replaces p's contents with src's, reusing p's backing array.
-// It is the per-round snapshot step of incremental backfill sessions:
-// copying a base profile into a reusable working profile is a single
-// memmove, where rebuilding it from the running set is one Add per job.
-func (p *Profile) CopyFrom(src *Profile) {
-	p.pts = append(p.pts[:0], src.pts...)
-}
-
-// TrimBefore drops breakpoints strictly before the last one at or before
-// t, bounding a long-lived profile's memory to its active horizon. Values
-// at every time >= t are unchanged (bit-identically: surviving breakpoints
-// are moved, not recomputed); queries before t afterwards see a zero
-// prefix and are no longer meaningful.
-func (p *Profile) TrimBefore(t des.Time) {
-	i := p.locate(t)
-	if i <= 0 {
-		return
-	}
-	n := copy(p.pts, p.pts[i:])
-	p.pts = p.pts[:n]
-}
-
 // locate returns the index of the last breakpoint with t <= x, or -1 when x
 // precedes all breakpoints.
 func (p *Profile) locate(x des.Time) int {

@@ -53,36 +53,58 @@ type Options struct {
 // earliest start equals the current time starts now and its resources are
 // reserved; otherwise the job receives a future reservation, until
 // BackfillMax reservations have been made, after which jobs are skipped
-// for this round.
+// for this round. RunRound is the one-shot form of a Runner: a simulator
+// that runs many rounds keeps one Runner instead.
 func RunRound(p Policy, in RoundInput, opt Options) ([]Decision, Round) {
-	var rn Runner
-	rt := p.NewRound(in)
-	return rn.RunRound(p, rt, in, opt), rt
+	rn := Runner{p: p}
+	return rn.RunRound(in, opt)
 }
 
-// Runner owns the backfill engine's per-round buffers (the decision list,
-// the reordered-window copy) so a long replay reuses them instead of
-// allocating every round. The zero value is ready. The returned decision
-// slice is valid until the Runner's next RunRound call.
+// Runner runs the backfill rounds of one policy and owns every per-round
+// buffer: the reservation state of a library policy (its round and, for
+// the adaptive policies, the target layer), the decision list and the
+// reordered-window copy. Each round rebuilds the reservation state from
+// that round's running set into the reused buffers, so a simulator that
+// refreshes estimates between rounds sees them, and a warmed Runner
+// allocates nothing per round. The decisions and the Round that RunRound
+// returns are valid until its next call.
 type Runner struct {
+	p         Policy
+	rt        *round         // nil for a policy from outside the library
+	adaptive  *adaptiveRound // nil unless the policy is workload-adaptive
 	decisions []Decision
 	window    []*Job
 }
 
-// RunRound is the engine loop of the package-level RunRound, but against a
-// caller-supplied Round — the entry point for incremental sessions, which
-// build the Round from carried state (Session.BeginRound) rather than
-// asking the policy for a fresh one.
+// NewRunner returns a Runner for p, validating p once: it panics on an
+// invalid configuration exactly as p.NewRound does.
+func NewRunner(p Policy) *Runner {
+	rn := &Runner{p: p}
+	if m, ok := modelOf(p); ok {
+		rn.rt, rn.adaptive = m.alloc()
+	}
+	return rn
+}
+
+// RunRound executes one backfill round (see the package-level RunRound)
+// against this Runner's rebuilt reservation state. A policy from outside
+// the library builds its own round through p.NewRound.
 //
 //waschedlint:hotpath
-func (rn *Runner) RunRound(p Policy, rt Round, in RoundInput, opt Options) []Decision {
+func (rn *Runner) RunRound(in RoundInput, opt Options) ([]Decision, Round) {
+	var rt Round
+	if rn.rt != nil {
+		rt = rebuild(in, rn.rt, rn.adaptive)
+	} else {
+		rt = rn.p.NewRound(in)
+	}
 	window := in.Waiting
 	if opt.MaxJobTest > 0 && len(window) > opt.MaxJobTest {
 		window = window[:opt.MaxJobTest]
 	}
 	// Packing policies (WindowOrderer) reorder the examined window; the
 	// copy keeps the controller's queue order intact.
-	if orderer, ok := p.(WindowOrderer); ok {
+	if orderer, ok := rn.p.(WindowOrderer); ok {
 		rn.window = append(rn.window[:0], window...)
 		orderer.OrderWindow(in, rn.window)
 		window = rn.window
@@ -122,7 +144,7 @@ func (rn *Runner) RunRound(p Policy, rt Round, in RoundInput, opt Options) []Dec
 		decisions = append(decisions, d)
 	}
 	rn.decisions = decisions
-	return decisions
+	return decisions, rt
 }
 
 // StartNowJobs filters a decision list down to the jobs to start now, in

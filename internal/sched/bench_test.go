@@ -64,29 +64,46 @@ func BenchmarkRoundAdaptive(b *testing.B) {
 	}
 }
 
-// BenchmarkSessionRound measures one backfill round on the incremental
-// session path (Session.BeginRound plus the engine loop) per policy, over
-// the input of the from-scratch BenchmarkRound* benchmarks.
-func BenchmarkSessionRound(b *testing.B) {
-	for _, p := range []Policy{
+// runnerBenchPolicies are the policies of the Runner benchmark and
+// allocation guard.
+func runnerBenchPolicies() []Policy {
+	return []Policy{
 		NodePolicy{TotalNodes: 15},
 		IOAwarePolicy{TotalNodes: 15, ThroughputLimit: 20e9},
 		AdaptivePolicy{TotalNodes: 15, ThroughputLimit: 20e9, TwoGroup: true},
 		PlanPolicy{TotalNodes: 15, BBCapacity: 64e9, ThroughputLimit: 20e9},
-	} {
+	}
+}
+
+// BenchmarkRunnerRound measures one backfill round of a warmed Runner
+// (the round rebuilt from the running set into reused buffers, plus the
+// engine loop) per policy, over the input of the BenchmarkRound*
+// benchmarks.
+func BenchmarkRunnerRound(b *testing.B) {
+	for _, p := range runnerBenchPolicies() {
 		b.Run(p.Name(), func(b *testing.B) {
 			in := benchInput(500)
-			s := NewSession(p)
-			for _, j := range in.Running {
-				s.JobStarted(j)
-			}
+			rn := NewRunner(p)
 			opt := Options{MaxJobTest: 100}
-			var rn Runner
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rn.RunRound(p, s.BeginRound(in), in, opt)
+				rn.RunRound(in, opt)
 			}
 		})
+	}
+}
+
+// A warmed Runner's round allocates nothing: the rebuild refills the
+// reused profiles, split buffer and decision list in place.
+func TestWarmRunnerRoundAllocatesNothing(t *testing.T) {
+	in := benchInput(500)
+	opt := Options{MaxJobTest: 100}
+	for _, p := range runnerBenchPolicies() {
+		rn := NewRunner(p)
+		rn.RunRound(in, opt)
+		if allocs := testing.AllocsPerRun(50, func() { rn.RunRound(in, opt) }); allocs != 0 {
+			t.Errorf("%s: warmed Runner round allocates %.1f times, want 0", p.Name(), allocs)
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"wasched/internal/des"
@@ -198,8 +200,9 @@ func FuzzTwoGroupSplit(f *testing.F) {
 // fuzzBB is the burst-buffer pool of the BB-aware fuzz policies.
 const fuzzBB = 100.0
 
-// sessionFuzzPolicies is every library policy shape with a session.
-func sessionFuzzPolicies() []Policy {
+// runnerFuzzPolicies is every library policy shape: each has its round
+// state rebuilt in place by a Runner.
+func runnerFuzzPolicies() []Policy {
 	io := IOAwarePolicy{TotalNodes: fuzzNodes, ThroughputLimit: fuzzLimit}
 	adaptive := AdaptivePolicy{TotalNodes: fuzzNodes, ThroughputLimit: fuzzLimit, TwoGroup: true}
 	horizon := 120 * des.Second
@@ -220,87 +223,113 @@ func sessionFuzzPolicies() []Policy {
 	}
 }
 
-// finishedJob is a job that started and left the running set before the
-// fuzzed round.
-type finishedJob struct {
-	job *Job
-	end des.Time
+// fuzzStream hands out a fuzz input one byte at a time, then zeros.
+type fuzzStream []byte
+
+func (s *fuzzStream) next() byte {
+	if len(*s) == 0 {
+		return 0
+	}
+	b := (*s)[0]
+	*s = (*s)[1:]
+	return b
 }
 
-// fuzzSessionInput decodes a byte stream into one round's input, the jobs
-// that already finished before it, and the engine options. Running and
-// finished jobs are well-formed with fixed estimates (a session's
-// contract); the queue is adversarial. Rates and burst-buffer bytes are
-// small integers, so the session's start/finish deltas are exact and any
-// divergence from the from-scratch round is a bookkeeping bug, not
-// floating-point drift.
-func fuzzSessionInput(data []byte) (in RoundInput, finished []finishedJob, opt Options) {
-	next := func() byte {
-		if len(data) == 0 {
-			return 0
-		}
-		b := data[0]
-		data = data[1:]
-		return b
+// fuzzSeed returns n deterministic pseudo-random bytes: a seed input long
+// enough to fill every round of a runnerScript.
+func fuzzSeed(seed uint64, n int) []byte {
+	r := rand.New(rand.NewPCG(seed, 1))
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(r.Uint32())
 	}
-	in.Now = 300 * des.Time(des.Second)
-	in.UnavailableNodes = int(next() % 3)
-	nRun, nFin, nWait := int(next()%5), int(next()%3), int(next()%16)
-	opt.BackfillMax = int(next() % 4)
-	opt.MaxJobTest = int(next() % 10)
-	free := fuzzNodes - in.UnavailableNodes
-	for i := 0; i < nRun && free > 0; i++ {
-		age := des.Duration(next()%120) * des.Second
-		n := 1 + int(next())%free
-		free -= n
-		in.Running = append(in.Running, &Job{
+	return b
+}
+
+// fuzzRounds is how many rounds one fuzz input drives a Runner through.
+const fuzzRounds = 6
+
+// runnerScript drives one simulated cluster through fuzzRounds rounds,
+// decoded from a byte stream the way a simulator would produce them: the
+// initial running set is well-formed (it was started), arrivals are
+// adversarial (the engine is the first line of defence against a corrupt
+// queue), and between rounds the clock advances, running jobs finish,
+// one running job's Rate and EstRuntime are refreshed (the controller's
+// per-round estimate refresh), the down-node count changes and the
+// measured throughput moves around the running jobs' estimated sum, so
+// the measured-throughput guard both binds and stays off. round is called
+// once per round; the jobs it reports as started join the running set.
+func runnerScript(data []byte, round func(in RoundInput, opt Options) []*Job) {
+	s := fuzzStream(data)
+	opt := Options{BackfillMax: int(s.next() % 4), MaxJobTest: int(s.next() % 10)}
+	now := 300 * des.Time(des.Second)
+	var running, waiting []*Job
+	free := fuzzNodes
+	for i, n := 0, int(s.next()%5); i < n && free > 0; i++ {
+		age := des.Duration(s.next()%120) * des.Second
+		nodes := 1 + int(s.next())%free
+		free -= nodes
+		running = append(running, &Job{
 			ID:         string(rune('A' + i)),
-			Nodes:      n,
-			Limit:      des.Duration(1+next()%240) * des.Second, // may already be overrun
-			StartedAt:  in.Now.Add(-age),
-			Rate:       float64(next() % 150), // may exceed the limit
-			EstRuntime: des.Duration(next()%200) * des.Second,
-			BBBytes:    float64(next() % 60),
+			Nodes:      nodes,
+			Limit:      des.Duration(1+s.next()%240) * des.Second, // may already be overrun
+			StartedAt:  now.Add(-age),
+			Rate:       float64(s.next() % 150), // may exceed the limit
+			EstRuntime: des.Duration(s.next()%200) * des.Second,
+			BBBytes:    float64(s.next() % 60),
 		})
 	}
-	for i := 0; i < nFin; i++ {
-		j := &Job{
-			ID:        string(rune('P' + i)),
-			Nodes:     1 + int(next())%fuzzNodes,
-			Limit:     des.Duration(1+next()%240) * des.Second,
-			StartedAt: des.Time(next()%200) * des.Time(des.Second),
-			Rate:      float64(next() % 150),
-			BBBytes:   float64(next() % 60),
+	arrived := 0
+	for r := 0; r < fuzzRounds; r++ {
+		if r > 0 {
+			now = now.Add(des.Duration(1+s.next()%90) * des.Second)
+			finished := s.next()
+			kept := running[:0]
+			for i, j := range running {
+				if i < 8 && finished&(1<<i) != 0 {
+					continue
+				}
+				kept = append(kept, j)
+			}
+			running = kept
+			if len(running) > 0 {
+				j := running[int(s.next())%len(running)]
+				j.Rate = float64(int8(s.next())) / 2 // may be negative or above the limit
+				j.EstRuntime = des.Duration(s.next()%200) * des.Second
+			}
 		}
-		end := j.StartedAt.Add(des.Duration(next()%250) * des.Second)
-		if end > in.Now {
-			end = in.Now
+		for k := int(s.next() % 6); k > 0; k-- {
+			waiting = append(waiting, &Job{
+				ID:         string(rune('a' + arrived)),
+				Nodes:      int(s.next()%(fuzzNodes+3)) - 1,                 // may be <= 0 or > N
+				Limit:      des.Duration(int(s.next()%250)-10) * des.Second, // may be <= 0
+				Rate:       float64(int8(s.next())),                         // may be negative or above the limit
+				EstRuntime: des.Duration(s.next()%200) * des.Second,
+				Submit:     now,
+				Priority:   int64(s.next() % 3),
+				BBBytes:    float64(int8(s.next())), // may be negative or above the pool
+			})
+			arrived++
 		}
-		finished = append(finished, finishedJob{job: j, end: end})
+		SortQueue(waiting)
+		in := RoundInput{Now: now, Running: running, Waiting: waiting, UnavailableNodes: int(s.next() % 3)}
+		for _, j := range running {
+			in.MeasuredThroughput += clampNonNeg(j.Rate)
+		}
+		in.MeasuredThroughput = max(0, in.MeasuredThroughput+float64(int8(s.next())))
+		started := round(in, opt)
+		for _, j := range started {
+			j.StartedAt = now
+		}
+		running = append(running, started...)
+		kept := waiting[:0]
+		for _, j := range waiting {
+			if !slices.Contains(started, j) {
+				kept = append(kept, j)
+			}
+		}
+		waiting = kept
 	}
-	sum := 0.0
-	for _, j := range in.Running {
-		sum += j.Rate
-	}
-	// Centred on the running sum, so the guard both binds and stays off.
-	in.MeasuredThroughput = sum + float64(int8(next()))
-	if in.MeasuredThroughput < 0 {
-		in.MeasuredThroughput = 0
-	}
-	for i := 0; i < nWait; i++ {
-		in.Waiting = append(in.Waiting, &Job{
-			ID:         string(rune('a' + i)),
-			Nodes:      int(int8(next())) % (fuzzNodes + 2),     // may be <= 0 or > N
-			Limit:      des.Duration(int8(next())) * des.Second, // may be <= 0
-			Rate:       float64(int8(next())),                   // may be negative or above the limit
-			EstRuntime: des.Duration(next()%200) * des.Second,
-			Submit:     des.Time(next()%100) * des.Time(des.Second),
-			Priority:   int64(next() % 3),
-			BBBytes:    float64(int8(next())), // may be negative or above the pool
-		})
-	}
-	SortQueue(in.Waiting)
-	return in, finished, opt
 }
 
 // roundDiagnostics returns a round's diagnostics, nil when it has none.
@@ -311,47 +340,44 @@ func roundDiagnostics(r Round) map[string]float64 {
 	return nil
 }
 
-// FuzzSessionMatchesNewRound holds every policy's incremental session to
-// its from-scratch round: fed the running set through JobStarted (and
-// earlier jobs through JobStarted/JobFinished), the session's round must
-// make the same decisions and report the same diagnostics as
-// Policy.NewRound rebuilt from the running set.
-func FuzzSessionMatchesNewRound(f *testing.F) {
-	f.Add([]byte{0, 2, 1, 6, 0, 0, 10, 3, 60, 50, 40, 30, 5, 1, 20, 90, 30, 100, 200, 2, 120, 10, 0, 0, 1, 20})
-	f.Add([]byte{2, 4, 2, 12, 1, 5, 0, 1, 200, 149, 10, 59, 100, 1, 10, 1, 1, 120, 7, 200, 200})
-	f.Add([]byte{1, 1, 0, 3, 3, 9, 30, 6, 100, 99, 60, 0, 156, 3, 200, 100, 255, 10, 50, 0, 9, 8, 120, 4, 60, 1, 2, 110})
+// FuzzRunnerMatchesNewRound holds every policy's Runner to the freshly
+// allocated round: driven through a sequence of rounds with jobs starting
+// and finishing, estimates refreshed and nodes going down and up, each
+// round of one reused Runner must make the same decisions and report the
+// same diagnostics as the one-shot RunRound over Policy.NewRound. A
+// buffer the rebuild forgot to reset carries the previous round's
+// reservations into the next one and shows up here.
+func FuzzRunnerMatchesNewRound(f *testing.F) {
+	for seed := range uint64(3) {
+		f.Add(fuzzSeed(seed, 256))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		in, finished, opt := fuzzSessionInput(data)
-		for _, p := range sessionFuzzPolicies() {
-			s := NewSession(p)
-			for _, fj := range finished {
-				s.JobStarted(fj.job)
-				s.JobFinished(fj.job, fj.end)
-			}
-			for _, j := range in.Running {
-				s.JobStarted(j)
-			}
-			var rn Runner
-			sr := s.BeginRound(in)
-			got := rn.RunRound(p, sr, in, opt)
-			want, fr := RunRound(p, in, opt)
-			if len(got) != len(want) {
-				t.Fatalf("%s: session made %d decisions, NewRound %d", p.Name(), len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s: decision %d: session %+v, NewRound %+v", p.Name(), i, got[i], want[i])
+		for _, p := range runnerFuzzPolicies() {
+			rn := NewRunner(p)
+			r := 0
+			runnerScript(data, func(in RoundInput, opt Options) []*Job {
+				got, gr := rn.RunRound(in, opt)
+				want, wr := RunRound(p, in, opt)
+				if len(got) != len(want) {
+					t.Fatalf("%s round %d: Runner made %d decisions, NewRound %d", p.Name(), r, len(got), len(want))
 				}
-			}
-			gd, wd := roundDiagnostics(sr), roundDiagnostics(fr)
-			if len(gd) != len(wd) {
-				t.Fatalf("%s: session diagnostics %v, NewRound %v", p.Name(), gd, wd)
-			}
-			for k, w := range wd {
-				if g, ok := gd[k]; !ok || math.Float64bits(g) != math.Float64bits(w) {
-					t.Fatalf("%s: diagnostic %q: session %v, NewRound %v", p.Name(), k, g, w)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s round %d: decision %d: Runner %+v, NewRound %+v", p.Name(), r, i, got[i], want[i])
+					}
 				}
-			}
+				gd, wd := roundDiagnostics(gr), roundDiagnostics(wr)
+				if len(gd) != len(wd) {
+					t.Fatalf("%s round %d: Runner diagnostics %v, NewRound %v", p.Name(), r, gd, wd)
+				}
+				for k, w := range wd {
+					if g, ok := gd[k]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("%s round %d: diagnostic %q: Runner %v, NewRound %v", p.Name(), r, k, g, w)
+					}
+				}
+				r++
+				return StartNowJobs(got)
+			})
 		}
 	})
 }

@@ -81,7 +81,7 @@ func (s *splitScratch) Swap(a, b int)      { s.entries[a], s.entries[b] = s.entr
 // returns it with the zero group's average per-node load r̄_zero (Eq. 3).
 // With TwoGroup disabled it returns (0, 0): only genuinely zero-throughput
 // jobs form the zero group and no adjustment applies. sc is reused across
-// rounds by sessions — the entry slice was the split's dominant
+// a Runner's rounds — the entry slice was the split's dominant
 // allocation.
 func (p AdaptivePolicy) twoGroupSplit(waiting []*Job, sc *splitScratch) (rStar, rZeroBar float64) {
 	sc.entries = sc.entries[:0]
@@ -154,7 +154,7 @@ func (p AdaptivePolicy) twoGroupSplit(waiting []*Job, sc *splitScratch) (rStar, 
 // adaptiveRound is the target layer of Algorithms 5–7 over the shared
 // I/O-aware round rt. The target, the two-group split and the adjusted
 // tracker AT are functions of this round's queue, so begin recomputes
-// them every round; sessions keep one adaptiveRound and reuse its AT
+// them every round; a Runner keeps one adaptiveRound and reuses its AT
 // profile and split buffer.
 type adaptiveRound struct {
 	p        AdaptivePolicy

@@ -14,8 +14,8 @@ import (
 // job whose BB demand does not fit now receives a future reservation
 // instead of a doomed start-now decision. The simulated-annealing search
 // of the original is replaced by the greedy first-fit plan the backfill
-// engine already implements — the paper's own baseline variant — which
-// keeps the policy compatible with the incremental Session path.
+// engine already implements — the paper's own baseline variant — so the
+// policy is one more resource set of the shared round.
 //
 // The BB profile models reservations over [start, start+Limit) only; the
 // post-completion drain holds capacity a little longer, and the executor's

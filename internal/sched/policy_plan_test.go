@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"wasched/internal/des"
@@ -68,8 +69,8 @@ func TestPlanPolicyHorizonSkipsFarStarts(t *testing.T) {
 		Now:     tsec(0),
 		Running: []*Job{r0},
 		Waiting: []*Job{
-			bbJob("far", 2, 50*sec, 50),   // earliest feasible start t=100 > horizon
-			bbJob("near", 2, 30*sec, 0),   // starts now
+			bbJob("far", 2, 50*sec, 50), // earliest feasible start t=100 > horizon
+			bbJob("near", 2, 30*sec, 0), // starts now
 		},
 	}
 	ds, _ := RunRound(p, in, Options{})
@@ -107,54 +108,38 @@ func TestBBAwarePolicyConstrainsInner(t *testing.T) {
 	}
 }
 
-// Sessions must decide identically to the from-scratch NewRound path over
-// start/finish deltas (the corpus test in internal/schedcheck holds the
-// full replay to byte-identity; this pins the basic delta arithmetic).
-func TestPlanSessionMatchesNewRound(t *testing.T) {
+// A Runner must decide as the freshly allocated NewRound round does over
+// rounds in which a job starts and then finishes early: each rebuild
+// drops what the previous round reserved, and the finished job's BB tail
+// with it (the corpus test in internal/schedcheck holds whole replays to
+// their stored digests).
+func TestPlanRunnerMatchesNewRound(t *testing.T) {
 	for _, p := range []Policy{
 		PlanPolicy{TotalNodes: 4, BBCapacity: 100},
 		PlanPolicy{TotalNodes: 4, BBCapacity: 100, ThroughputLimit: 10},
 		BBAwarePolicy{Inner: NodePolicy{TotalNodes: 4}, Capacity: 100},
 		BBAwarePolicy{Inner: IOAwarePolicy{TotalNodes: 4, ThroughputLimit: 10}, Capacity: 100},
 	} {
-		s := NewSession(p)
-		if s == nil {
-			t.Fatalf("%s: no session", p.Name())
-		}
 		j1 := bbJob("j1", 2, 100*sec, 60)
 		j1.Rate = 4
 		j2 := bbJob("j2", 2, 80*sec, 60)
 		j2.Rate = 3
 		probe := bbJob("probe", 2, 50*sec, 50)
 		probe.Rate = 2
-
-		// Round 1: empty cluster; start j1.
-		in := RoundInput{Now: tsec(0), Waiting: []*Job{j1, j2, probe}}
-		s.BeginRound(in)
-		j1.StartedAt = tsec(0)
-		s.JobStarted(j1)
-
-		// Round 2: j1 running; j2's BB demand cannot overlap j1's.
-		in = RoundInput{Now: tsec(10), Running: []*Job{j1}, Waiting: []*Job{j2, probe}, MeasuredThroughput: 5}
-		sessRound := s.BeginRound(in)
-		freshRound := p.NewRound(in)
-		for _, j := range []*Job{j2, probe} {
-			st, ok := sessRound.EarliestStart(j, in.Now)
-			ft, fok := freshRound.EarliestStart(j, in.Now)
-			if st != ft || ok != fok {
-				t.Fatalf("%s: session start %v/%v != fresh %v/%v for %s", p.Name(), st, ok, ft, fok, j.ID)
+		rn := NewRunner(p)
+		for _, in := range []RoundInput{
+			// Empty cluster: j1 starts, j2 and probe queue behind its BB.
+			{Now: tsec(0), Waiting: []*Job{j1, j2, probe}},
+			// j1 running; j2's BB demand cannot overlap j1's.
+			{Now: tsec(10), Running: []*Job{j1}, Waiting: []*Job{j2, probe}, MeasuredThroughput: 5},
+			// j1 finished early; its BB tail is free.
+			{Now: tsec(40), Waiting: []*Job{j2, probe}},
+		} {
+			got, _ := rn.RunRound(in, Options{})
+			want, _ := RunRound(p, in, Options{})
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s at %v: Runner %+v, NewRound %+v", p.Name(), in.Now, got, want)
 			}
-		}
-
-		// j1 finishes early; the released BB tail must match too.
-		s.JobFinished(j1, tsec(40))
-		in = RoundInput{Now: tsec(40), Waiting: []*Job{j2, probe}}
-		sessRound = s.BeginRound(in)
-		freshRound = p.NewRound(in)
-		st, ok := sessRound.EarliestStart(j2, in.Now)
-		ft, fok := freshRound.EarliestStart(j2, in.Now)
-		if st != ft || ok != fok {
-			t.Fatalf("%s: post-finish session start %v/%v != fresh %v/%v", p.Name(), st, ok, ft, fok)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"wasched/internal/des"
@@ -44,28 +45,26 @@ func TestTBFPolicyNames(t *testing.T) {
 	}
 }
 
-// The incremental sessions for the tbf family must exist (the replayer
-// depends on them) and agree with the from-scratch rounds.
-func TestTBFSessionMatchesNewRound(t *testing.T) {
+// The tbf family reserves nodes only; a Runner over it must agree with
+// the freshly allocated rounds.
+func TestTBFRunnerMatchesNewRound(t *testing.T) {
 	for _, p := range []Policy{
 		TBFPolicy{TotalNodes: 10},
 		TBFPolicy{TotalNodes: 10, Straggler: true},
 	} {
-		s := NewSession(p)
-		if s == nil {
-			t.Fatalf("NewSession(%s) = nil", p.Name())
-		}
+		rn := NewRunner(p)
 		waiting := []*Job{{ID: "w1", Nodes: 6, Limit: des.Hour}}
-		in := RoundInput{Now: 0, Waiting: waiting}
 		j := &Job{ID: "r1", Nodes: 8, Limit: des.Hour, StartedAt: 0}
-		s.JobStarted(j)
-		in.Running = []*Job{j}
-		sr := s.BeginRound(in)
-		fr := p.NewRound(in)
-		st, sok := sr.EarliestStart(waiting[0], in.Now)
-		ft, fok := fr.EarliestStart(waiting[0], in.Now)
-		if st != ft || sok != fok {
-			t.Fatalf("%s: session EarliestStart (%v,%v) != fresh (%v,%v)", p.Name(), st, sok, ft, fok)
+		for _, in := range []RoundInput{
+			{Now: 0, Running: []*Job{j}, Waiting: waiting},
+			{Now: des.Time(des.Minute), Running: []*Job{j}, Waiting: waiting, UnavailableNodes: 1},
+			{Now: des.Time(des.Hour), Waiting: waiting},
+		} {
+			got, _ := rn.RunRound(in, Options{})
+			want, _ := RunRound(p, in, Options{})
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s at %v: Runner %+v, NewRound %+v", p.Name(), in.Now, got, want)
+			}
 		}
 	}
 }

@@ -58,7 +58,7 @@ func (p TetrisPolicy) NewRound(in RoundInput) Round {
 // vector, with the original queue position as the tiebreak.
 func (p TetrisPolicy) OrderWindow(in RoundInput, window []*Job) {
 	if p.TotalNodes <= 0 {
-		return // NewRound and NewSession panic on this; don't divide by it here
+		return // NewRound and NewRunner panic on this; don't divide by it here
 	}
 	availNodes := float64(p.TotalNodes)
 	availBW := p.ThroughputLimit

@@ -48,9 +48,9 @@ type model struct {
 }
 
 // modelOf validates p and returns its reservation model: the one place
-// both the from-scratch path (Policy.NewRound) and NewSession check a
-// policy's configuration. ok is false for a policy from outside the
-// library, and for TetrisPolicy over one; those have no session.
+// both Policy.NewRound and NewRunner check a policy's configuration. ok is
+// false for a policy from outside the library, and for TetrisPolicy over
+// one; those build their own rounds.
 func modelOf(p Policy) (m model, ok bool) {
 	switch p := p.(type) {
 	case NodePolicy:
@@ -84,30 +84,49 @@ func modelOf(p Policy) (m model, ok bool) {
 	return model{}, false
 }
 
-// newRound is Policy.NewRound for every library policy: the round rebuilt
-// from scratch from the running set. It is the oracle the incremental
-// Session is held to.
+// alloc returns empty round state for the model: the round over its set
+// and, for the adaptive policies, the target layer (nil otherwise).
+func (m *model) alloc() (*round, *adaptiveRound) {
+	r := &round{set: m.set, dims: m.set.dimensions()}
+	if m.adaptive == nil {
+		return r, nil
+	}
+	return r, &adaptiveRound{p: *m.adaptive, at: restrack.NewBandwidthTracker(0)}
+}
+
+// newRound is Policy.NewRound for every library policy: freshly allocated
+// round state, filled by the same rebuild a Runner applies to its reused
+// buffers every round.
 func newRound(p Policy, in RoundInput) Round {
 	m, _ := modelOf(p)
-	r := &round{set: m.set, dims: m.set.dimensions()}
+	r, a := m.alloc()
+	return rebuild(in, r, a)
+}
+
+// rebuild is InitializeReservationTracker (Algorithms 1, 2 and 5): it
+// resets r (and the target layer a, when non-nil) and refills them from
+// this round's running set, so every round reflects the estimates the
+// controller refreshed for it. It returns the Round to run.
+//
+//waschedlint:hotpath
+func rebuild(in RoundInput, r *round, a *adaptiveRound) Round {
 	for i := range r.dims {
 		d := &r.dims[i]
+		d.use.Reset()
 		for _, j := range in.Running {
-			d.use.Add(in.Now, j.StartedAt.Add(j.Limit), m.set.demand(d.kind, j))
+			d.use.Add(in.Now, j.StartedAt.Add(j.Limit), r.set.demand(d.kind, j))
 		}
 	}
 	r.open(in)
-	if m.adaptive == nil {
+	if a == nil {
 		return r
 	}
-	a := &adaptiveRound{p: *m.adaptive, at: restrack.NewBandwidthTracker(0)}
 	a.begin(in, r)
 	return a
 }
 
 // dimensions returns the set's dimensions with empty usage, nodes first.
-// The slice is sized exactly: the from-scratch path allocates one per
-// round.
+// The slice is sized exactly: Policy.NewRound allocates one per round.
 func (s *resourceSet) dimensions() []dimension {
 	n := 1
 	if s.limit > 0 {

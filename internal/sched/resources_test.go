@@ -25,8 +25,8 @@ func panicMessage(f func()) (msg string) {
 	return ""
 }
 
-// Every invalid configuration must panic on the from-scratch path and on
-// the session path with the same message: both validate in one place.
+// Every invalid configuration must panic in Policy.NewRound and in
+// NewRunner with the same message: both validate in one place.
 func TestInvalidConfigPanicsOnBothPaths(t *testing.T) {
 	io := IOAwarePolicy{TotalNodes: 4, ThroughputLimit: 1}
 	stub := stubPolicy{NodePolicy{TotalNodes: 4}}
@@ -58,23 +58,42 @@ func TestInvalidConfigPanicsOnBothPaths(t *testing.T) {
 	} {
 		name := fmt.Sprintf("%T%+v", p, p)
 		round := panicMessage(func() { p.NewRound(RoundInput{}) })
-		session := panicMessage(func() { NewSession(p) })
+		runner := panicMessage(func() { NewRunner(p) })
 		if round == "" {
 			t.Errorf("%s: NewRound did not panic", name)
 		}
-		if session != round {
-			t.Errorf("%s: NewSession panicked with %q, NewRound with %q", name, session, round)
+		if runner != round {
+			t.Errorf("%s: NewRunner panicked with %q, NewRound with %q", name, runner, round)
 		}
 	}
 }
 
-// Policies from outside the library keep their own rounds and have no
-// session, under a Tetris ordering too.
-func TestForeignPolicyHasNoSession(t *testing.T) {
-	stub := stubPolicy{NodePolicy{TotalNodes: 4}}
+// A policy from outside the library builds its own round every time a
+// Runner runs one, under a Tetris ordering too.
+func TestRunnerAsksForeignPolicyForEveryRound(t *testing.T) {
+	stub := &countingPolicy{Policy: stubPolicy{NodePolicy{TotalNodes: 4}}}
 	for _, p := range []Policy{stub, TetrisPolicy{Inner: stub, TotalNodes: 4}} {
-		if s := NewSession(p); s != nil {
-			t.Errorf("NewSession(%s) = %T, want nil", p.Name(), s)
+		stub.rounds = 0
+		rn := NewRunner(p)
+		in := RoundInput{Waiting: []*Job{{ID: "w", Nodes: 1, Limit: des.Minute}}}
+		for i := 0; i < 3; i++ {
+			if ds, _ := rn.RunRound(in, Options{}); len(ds) != 1 || !ds[0].StartNow {
+				t.Fatalf("%s: decisions %+v, want w started", p.Name(), ds)
+			}
+		}
+		if stub.rounds != 3 {
+			t.Errorf("%s: NewRound called %d times over 3 rounds, want 3", p.Name(), stub.rounds)
 		}
 	}
+}
+
+// countingPolicy counts the rounds asked of the policy it wraps.
+type countingPolicy struct {
+	Policy
+	rounds int
+}
+
+func (p *countingPolicy) NewRound(in RoundInput) Round {
+	p.rounds++
+	return p.Policy.NewRound(in)
 }

@@ -56,9 +56,9 @@ func corpusDigests() map[string]string {
 }
 
 // TestCorpusDigestsMatchStored holds the corpus schedules to the digests
-// stored in testdata. TestReplayMatchesReferenceOnCorpus compares the
-// incremental replay with the from-scratch oracle, so a change to code
-// both paths share (the measured-throughput guard, the earliest-start
+// stored in testdata. TestReplayMatchesReferenceOnCorpus compares Replay
+// with its straightforward oracle loop, so a change to code both paths
+// share (the measured-throughput guard, the earliest-start
 // fixpoint, Reserve) passes it unnoticed; this test does not. A mismatch
 // prints the new line: replace the stored one only when the schedule
 // change is intended, and say why in the change log.

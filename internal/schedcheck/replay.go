@@ -126,23 +126,18 @@ type runJob struct {
 // checked (node capacity, bandwidth headroom, decision-state exclusivity)
 // and the final schedule goes through ValidateJobs.
 //
-// This is the trace-scale hot path, so it runs on incremental scheduling
-// state: reservation trackers carried across rounds by a sched.Session
-// (updated on job start/finish deltas instead of rebuilt from the running
-// set), a waiting queue kept sorted by insertion instead of re-sorted
-// every round, and reused per-round buffers. The schedule it produces is
-// byte-identical to the from-scratch path — replayReference, kept as the
-// oracle — which TestReplayMatchesReferenceOnCorpus enforces over the
-// whole differential corpus. Policies without session support fall back
-// to the reference path.
+// This is the trace-scale hot path, so every round runs on reused state:
+// one sched.Runner rebuilds the reservation trackers from the running set
+// into the same buffers each round, the waiting queue is kept sorted by
+// insertion instead of re-sorted every round, and the per-round slices are
+// reused. The schedule it produces is byte-identical to the straightforward
+// loop over sched.RunRound that TestReplayMatchesReferenceOnCorpus keeps
+// as its oracle.
 func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 	if cfg.Policy == nil {
 		panic("schedcheck: Replay needs a policy")
 	}
-	session := sched.NewSession(cfg.Policy)
-	if session == nil {
-		return replayReference(workload, cfg)
-	}
+	runner := sched.NewRunner(cfg.Policy)
 	interval := cfg.Interval
 	if interval <= 0 {
 		interval = 30 * des.Second
@@ -193,7 +188,6 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 		waiting      []*SimJob    // arrival order, as the controller holds it
 		waitingViews []*sched.Job // kept sorted in SortQueue order
 		runningViews []*sched.Job
-		runner       sched.Runner
 		started      = make(map[*sched.Job]bool)
 	)
 	next := 0 // index into pending of the next arrival
@@ -231,7 +225,6 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 				if r.end > res.Makespan {
 					res.Makespan = r.end
 				}
-				session.JobFinished(r.view, r.end)
 				completed = true
 				continue
 			}
@@ -268,8 +261,7 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 			Waiting:            waitingViews,
 			MeasuredThroughput: measured,
 		}
-		state := session.BeginRound(in)
-		decisions := runner.RunRound(cfg.Policy, state, in, cfg.Options)
+		decisions, state := runner.RunRound(in, cfg.Options)
 		if !cfg.SkipRoundChecks {
 			checkRound(in, decisions, state, cfg, &res.Check)
 		}
@@ -299,7 +291,6 @@ func Replay(workload []SimJob, cfg ReplayConfig) *ReplayResult {
 				continue
 			}
 			v.StartedAt = now
-			session.JobStarted(v)
 			tbfState.register(j)
 			running = append(running, &runJob{sim: j, view: v, end: now.Add(j.Actual)})
 			res.Starts[j.ID] = now
@@ -344,169 +335,13 @@ func queueLess(a, b *sched.Job) bool {
 	return a.ID < b.ID
 }
 
-// replayReference is the pre-optimization replay loop, rebuilt-from-scratch
-// scheduling state and all. It is retained verbatim as the oracle for the
-// incremental path: TestReplayMatchesReferenceOnCorpus requires Replay to
-// produce byte-identical schedules to this function on the full corpus,
-// and policies without session support run on it directly.
-func replayReference(workload []SimJob, cfg ReplayConfig) *ReplayResult {
-	if cfg.Policy == nil {
-		panic("schedcheck: Replay needs a policy")
-	}
-	interval := cfg.Interval
-	if interval <= 0 {
-		interval = 30 * des.Second
-	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 50000
-	}
-
-	pending := make([]*SimJob, len(workload))
-	views := make(map[string]*sched.Job, len(workload))
-	for i := range workload {
-		j := &workload[i]
-		pending[i] = j
-		views[j.ID] = &sched.Job{
-			ID:          j.ID,
-			Fingerprint: j.Fingerprint,
-			Nodes:       j.Nodes,
-			Limit:       j.Limit,
-			Submit:      j.Submit,
-			Priority:    j.Priority,
-			Rate:        j.EstRate,
-			EstRuntime:  j.EstRuntime,
-			BBBytes:     j.BBBytes,
-		}
-	}
-	sort.SliceStable(pending, func(a, b int) bool { return pending[a].Submit < pending[b].Submit })
-
-	res := &ReplayResult{
-		Policy: cfg.Policy.Name(),
-		// Sized up front: every job completes exactly once, and growing the
-		// slice in place keeps the replay's alloc count independent of the
-		// JobTrace footprint (the bench-replay allocs/op gate).
-		Jobs:   make([]trace.JobTrace, 0, len(workload)),
-		Starts: make(map[string]des.Time, len(workload)),
-	}
-	bbState := newBBReplay(cfg)
-	tbfState := newTBFReplay(cfg)
-	var running []*runJob
-	var waiting []*SimJob
-	next := 0 // index into pending of the next arrival
-
-	for round := 0; ; round++ {
-		if round >= maxRounds {
-			res.Check.violatef("starvation", "policy %s: %d jobs still unfinished after %d rounds",
-				res.Policy, len(waiting)+len(running)+(len(pending)-next), maxRounds)
-			break
-		}
-		now := des.Time(round) * des.Time(interval)
-		// The token layer advances over the interval just elapsed before
-		// the completion sweep, so throttled ends are final when checked.
-		tbfState.tick(running, now, interval)
-		// Completions first, as the controller's end events precede the
-		// round that reacts to them.
-		kept := running[:0]
-		for _, r := range running {
-			if r.end <= now {
-				jt := trace.JobTrace{
-					ID:          r.sim.ID,
-					Name:        r.sim.Fingerprint,
-					Fingerprint: r.sim.Fingerprint,
-					Nodes:       r.sim.Nodes,
-					Submit:      r.sim.Submit.Seconds(),
-					Start:       r.view.StartedAt.Seconds(),
-					End:         r.end.Seconds(),
-					Limit:       r.sim.Limit.Seconds(),
-					Priority:    r.sim.Priority,
-				}
-				bbState.complete(r.sim, &jt, r.view.StartedAt, r.end)
-				tbfState.complete(r.sim, &jt)
-				res.Jobs = append(res.Jobs, jt)
-				if r.end > res.Makespan {
-					res.Makespan = r.end
-				}
-				continue
-			}
-			kept = append(kept, r)
-		}
-		running = kept
-		bbState.release(now)
-		for next < len(pending) && pending[next].Submit <= now {
-			waiting = append(waiting, pending[next])
-			next++
-		}
-		res.Rounds = round + 1
-		if len(waiting) == 0 && len(running) == 0 && next == len(pending) {
-			break
-		}
-		if len(waiting) == 0 {
-			continue
-		}
-
-		runningViews := make([]*sched.Job, len(running))
-		measured := 0.0
-		for i, r := range running {
-			runningViews[i] = r.view
-			measured += r.sim.Rate
-		}
-		waitingViews := make([]*sched.Job, len(waiting))
-		for i, j := range waiting {
-			waitingViews[i] = views[j.ID]
-		}
-		sched.SortQueue(waitingViews)
-		in := sched.RoundInput{
-			Now:                now,
-			Running:            runningViews,
-			Waiting:            waitingViews,
-			MeasuredThroughput: measured,
-		}
-		decisions, state := sched.RunRound(cfg.Policy, in, cfg.Options)
-		if !cfg.SkipRoundChecks {
-			checkRound(in, decisions, state, cfg, &res.Check)
-		}
-
-		startedIDs := make(map[string]bool)
-		for _, d := range decisions {
-			if d.StartNow {
-				startedIDs[d.Job.ID] = true
-			}
-		}
-		keptWaiting := waiting[:0]
-		for _, j := range waiting {
-			if !startedIDs[j.ID] {
-				keptWaiting = append(keptWaiting, j)
-				continue
-			}
-			if !bbState.admit(j) {
-				// Burst-buffer pool full: defer the start, exactly as the
-				// controller's admission path keeps the job pending.
-				keptWaiting = append(keptWaiting, j)
-				continue
-			}
-			v := views[j.ID]
-			v.StartedAt = now
-			tbfState.register(j)
-			running = append(running, &runJob{sim: j, view: v, end: now.Add(j.Actual)})
-			res.Starts[j.ID] = now
-		}
-		waiting = keptWaiting
-	}
-	if !cfg.SkipRoundChecks {
-		res.Check.Merge(ValidateJobs(res.Jobs, ValidateOptions{Nodes: cfg.Nodes, BBCapacity: cfg.BBCapacity, TBF: cfg.TBFCapacity > 0}))
-	}
-	return res
-}
-
 // bbReplay emulates the shared burst-buffer pool during a replay: start-now
 // decisions whose demand does not fit the free pool are deferred (the job
 // stays waiting, exactly as the controller's admission path keeps it
 // pending), and each admitted reservation is held until the job's stage-out
 // drain completes. All methods are nil-safe, so a replay without BBCapacity
 // pays only a pointer check per call — the replay benchmark's allocation
-// profile is untouched. Replay and replayReference share this state machine
-// so the incremental path stays byte-identical to the oracle.
+// profile is untouched. Replay and its test oracle share this state machine.
 type bbReplay struct {
 	capacity  float64
 	stageRate float64 // bytes/s, 0 = instant
@@ -619,9 +454,8 @@ const (
 // so its end extends by (1−f)·dt per round, capped at its limit — the
 // timeout semantics of the live controller. All methods are nil-safe, so
 // a replay without TBFCapacity pays only a pointer check per round and
-// the replay benchmark's allocation profile is untouched. Replay and
-// replayReference share this state machine so the incremental path stays
-// byte-identical to the oracle.
+// the replay benchmark's allocation profile is untouched. Replay and its
+// test oracle share this state machine.
 //
 // The slowdown is accounted in time, not bytes: with an infinite fill
 // rate every bucket covers its demand exactly (got == need, f == 1.0

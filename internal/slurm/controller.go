@@ -257,6 +257,7 @@ type Controller struct {
 	eng    *des.Engine
 	cl     *cluster.Cluster
 	policy sched.Policy
+	runner *sched.Runner
 	svc    *analytics.Service // may be nil (default policy needs none)
 	cfg    Config
 
@@ -297,6 +298,7 @@ func New(eng *des.Engine, cl *cluster.Cluster, policy sched.Policy, svc *analyti
 		eng:        eng,
 		cl:         cl,
 		policy:     policy,
+		runner:     sched.NewRunner(policy),
 		svc:        svc,
 		cfg:        cfg,
 		runningID:  make(map[string]*JobRecord),
@@ -534,7 +536,7 @@ func (c *Controller) scheduleRound() {
 		MeasuredThroughput: measured,
 		UnavailableNodes:   c.cl.DownNodes(),
 	}
-	decisions, round := sched.RunRound(c.policy, in, c.cfg.Options)
+	decisions, round := c.runner.RunRound(in, c.cfg.Options)
 	if diag, ok := round.(sched.Diagnoser); ok {
 		c.lastDiag = diag.Diagnostics()
 	}

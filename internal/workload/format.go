@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -31,6 +32,13 @@ import (
 // declares the job's burst-buffer reservation; jobs without it use no
 // burst buffer, and decoders predating the token never see it (it is only
 // emitted when the demand is non-zero).
+//
+// Decode accepts only values a simulation can run: times are finite
+// seconds in [0, maxSeconds], rounded to the microsecond (limits and
+// sleeps at least one), counts are
+// integers in [1, MaxInt32] and sizes are finite positive GiB, so a
+// corrupt field such as NaN or 1e30 is an error rather than a negative
+// time or thread count.
 
 // TimedSpec is a job spec with its submission time.
 type TimedSpec struct {
@@ -113,16 +121,16 @@ func decodeLine(line string) (TimedSpec, error) {
 	if len(f) < 6 {
 		return TimedSpec{}, fmt.Errorf("want at least 6 fields, got %d", len(f))
 	}
-	submit, err := strconv.ParseFloat(f[0], 64)
-	if err != nil || submit < 0 {
+	submit, ok := seconds(f[0], false)
+	if !ok {
 		return TimedSpec{}, fmt.Errorf("bad submit time %q", f[0])
 	}
 	nodes, err := strconv.Atoi(f[2])
 	if err != nil || nodes <= 0 {
 		return TimedSpec{}, fmt.Errorf("bad node count %q", f[2])
 	}
-	limit, err := strconv.ParseFloat(f[3], 64)
-	if err != nil || limit <= 0 {
+	limit, ok := seconds(f[3], true)
+	if !ok {
 		return TimedSpec{}, fmt.Errorf("bad limit %q", f[3])
 	}
 	prio, err := strconv.ParseInt(f[4], 10, 64)
@@ -135,11 +143,9 @@ func decodeLine(line string) (TimedSpec, error) {
 		if len(rest) < 3 {
 			return TimedSpec{}, fmt.Errorf("bb token needs GiB and a program")
 		}
-		gib, err := strconv.ParseFloat(rest[1], 64)
-		if err != nil || gib <= 0 {
+		if bbBytes, ok = gibibytes(rest[1]); !ok {
 			return TimedSpec{}, fmt.Errorf("bad bb GiB %q", rest[1])
 		}
-		bbBytes = gib * pfs.GiB
 		rest = rest[2:]
 	}
 	prog, rest, err := decodeProgram(rest[0], rest[1:])
@@ -150,12 +156,12 @@ func decodeLine(line string) (TimedSpec, error) {
 		return TimedSpec{}, fmt.Errorf("trailing fields after program: %v", rest)
 	}
 	return TimedSpec{
-		At: des.TimeFromSeconds(submit),
+		At: des.Time(submit),
 		Spec: slurm.JobSpec{
 			Name:        f[1],
 			Fingerprint: f[1],
 			Nodes:       nodes,
-			Limit:       des.FromSeconds(limit),
+			Limit:       limit,
 			Priority:    prio,
 			Program:     prog,
 			BBBytes:     bbBytes,
@@ -163,72 +169,107 @@ func decodeLine(line string) (TimedSpec, error) {
 	}, nil
 }
 
+// maxSeconds bounds every time field of both trace formats (the workload
+// format and SWF): a century is far past any workload, and it keeps every
+// derived simulation time (an SWF job's submit + twice its runtime +
+// margin) well inside des's int64 microsecond clock. A corrupt value such
+// as 1e30 would otherwise overflow the conversion into a negative time.
+const maxSeconds = 100 * 365 * 24 * 3600
+
+// seconds parses a time field in seconds: finite and in [0, maxSeconds],
+// and at least a microsecond when positive is set. The negated comparison
+// also rejects NaN. It rounds to the nearest microsecond, so a time that
+// Encode printed decodes to exactly the value it came from (truncating
+// loses a microsecond on about 2% of them).
+func seconds(field string, positive bool) (des.Duration, bool) {
+	v, err := strconv.ParseFloat(field, 64)
+	if err != nil || !(v >= 0 && v <= maxSeconds) {
+		return 0, false
+	}
+	d := des.Duration(math.Round(v * float64(des.Second)))
+	return d, d > 0 || !positive
+}
+
+// count parses a positive integer count (threads, cycles, phases) no
+// larger than MaxInt32, so derived sizes such as a bursty program's
+// 2·cycles phases cannot overflow.
+func count(field string) (int, bool) {
+	n, err := strconv.Atoi(field)
+	return n, err == nil && n >= 1 && n <= math.MaxInt32
+}
+
+// gibibytes parses a size field in GiB into bytes: positive and finite in
+// bytes. The negated comparison also rejects NaN.
+func gibibytes(field string) (float64, bool) {
+	v, err := strconv.ParseFloat(field, 64)
+	b := v * pfs.GiB
+	return b, err == nil && v > 0 && !math.IsInf(b, 0)
+}
+
 // decodeProgram parses one program starting at args and returns the
 // remaining unconsumed fields, enabling the nested phased encoding.
 func decodeProgram(kind string, args []string) (cluster.Program, []string, error) {
-	num := func(i int) (float64, error) {
-		if i >= len(args) {
-			return 0, fmt.Errorf("program %q: missing argument %d", kind, i+1)
+	arg := func(i int) string {
+		if i < len(args) {
+			return args[i]
 		}
-		v, err := strconv.ParseFloat(args[i], 64)
-		if err != nil {
-			return 0, fmt.Errorf("program %q: bad argument %q", kind, args[i])
-		}
-		return v, nil
+		return ""
 	}
 	switch kind {
 	case "sleep":
-		secs, err := num(0)
-		if err != nil || secs <= 0 {
-			return nil, nil, fmt.Errorf("sleep needs a positive duration: %v", err)
+		d, ok := seconds(arg(0), true)
+		if !ok {
+			return nil, nil, fmt.Errorf("sleep needs a positive duration, got %q", arg(0))
 		}
-		return cluster.SleepProgram{D: des.FromSeconds(secs)}, args[1:], nil
+		return cluster.SleepProgram{D: d}, args[1:], nil
 	case "write", "read":
-		threads, err := num(0)
-		if err != nil || threads < 1 {
-			return nil, nil, fmt.Errorf("%s needs a thread count: %v", kind, err)
+		threads, ok := count(arg(0))
+		if !ok {
+			return nil, nil, fmt.Errorf("%s needs a thread count, got %q", kind, arg(0))
 		}
-		gib, err := num(1)
-		if err != nil || gib <= 0 {
-			return nil, nil, fmt.Errorf("%s needs GiB per thread: %v", kind, err)
+		bytes, ok := gibibytes(arg(1))
+		if !ok {
+			return nil, nil, fmt.Errorf("%s needs GiB per thread, got %q", kind, arg(1))
 		}
 		if kind == "read" {
-			return cluster.ReadProgram{Threads: int(threads), BytesPerThread: gib * pfs.GiB}, args[2:], nil
+			return cluster.ReadProgram{Threads: threads, BytesPerThread: bytes}, args[2:], nil
 		}
-		return cluster.WriteProgram{Threads: int(threads), BytesPerThread: gib * pfs.GiB}, args[2:], nil
+		return cluster.WriteProgram{Threads: threads, BytesPerThread: bytes}, args[2:], nil
 	case "bursty":
-		cycles, err := num(0)
-		if err != nil || cycles < 1 {
-			return nil, nil, fmt.Errorf("bursty needs cycles: %v", err)
+		cycles, ok := count(arg(0))
+		if !ok {
+			return nil, nil, fmt.Errorf("bursty needs cycles, got %q", arg(0))
 		}
-		compute, err := num(1)
-		if err != nil || compute < 0 {
-			return nil, nil, fmt.Errorf("bursty needs compute seconds: %v", err)
+		compute, ok := seconds(arg(1), false)
+		if !ok {
+			return nil, nil, fmt.Errorf("bursty needs compute seconds, got %q", arg(1))
 		}
-		threads, err := num(2)
-		if err != nil || threads < 1 {
-			return nil, nil, fmt.Errorf("bursty needs threads: %v", err)
+		threads, ok := count(arg(2))
+		if !ok {
+			return nil, nil, fmt.Errorf("bursty needs threads, got %q", arg(2))
 		}
-		gib, err := num(3)
-		if err != nil || gib <= 0 {
-			return nil, nil, fmt.Errorf("bursty needs GiB per thread: %v", err)
+		bytes, ok := gibibytes(arg(3))
+		if !ok {
+			return nil, nil, fmt.Errorf("bursty needs GiB per thread, got %q", arg(3))
 		}
 		return cluster.BurstyProgram{
-			Cycles:         int(cycles),
-			Compute:        des.FromSeconds(compute),
-			Threads:        int(threads),
-			BytesPerThread: gib * pfs.GiB,
+			Cycles:         cycles,
+			Compute:        compute,
+			Threads:        threads,
+			BytesPerThread: bytes,
 		}, args[4:], nil
 	case "phased":
-		n, err := num(0)
-		if err != nil || n < 1 {
-			return nil, nil, fmt.Errorf("phased needs a phase count: %v", err)
+		// Every phase takes at least two fields (its kind and one
+		// argument), which bounds the count by what the line holds.
+		n, ok := count(arg(0))
+		if !ok || n > (len(args)-1)/2 {
+			return nil, nil, fmt.Errorf("phased needs a phase count its phases fill, got %q", arg(0))
 		}
 		rest := args[1:]
-		phases := make([]cluster.Program, 0, int(n))
-		for i := 0; i < int(n); i++ {
+		phases := make([]cluster.Program, 0, n)
+		for i := 0; i < n; i++ {
 			if len(rest) == 0 {
-				return nil, nil, fmt.Errorf("phased: missing phase %d of %d", i+1, int(n))
+				return nil, nil, fmt.Errorf("phased: missing phase %d of %d", i+1, n)
 			}
 			sub, remaining, err := decodeProgram(rest[0], rest[1:])
 			if err != nil {

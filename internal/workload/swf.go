@@ -103,13 +103,6 @@ func SWFBBBytes(nodes int, opts SWFOptions, rand float64) float64 {
 	return float64(nodes) * opts.BBGiBPerNode * pfs.GiB
 }
 
-// swfMaxSeconds bounds every SWF time field: submit, runtime and requested
-// time. A century is far past any archive trace, and it keeps every
-// derived simulation time (submit + twice the runtime + margin) well
-// inside des's int64 microsecond clock. A corrupt value such as 1e30
-// would otherwise overflow the conversion into a negative time.
-const swfMaxSeconds = 100 * 365 * 24 * 3600
-
 // SWFRecord is one usable data row of an SWF trace, in the raw units of
 // the format (seconds and processors). Field numbering follows the archive
 // spec: 1 job number, 2 submit time, 4 run time, 8 requested processors
@@ -246,10 +239,10 @@ func ParseSWFRecords(r io.Reader) ([]SWFRecord, SWFQuirks, error) {
 		}
 		switch {
 		// The negated comparisons also reject NaN.
-		case !(rec.Submit >= 0 && rec.Submit <= swfMaxSeconds):
+		case !(rec.Submit >= 0 && rec.Submit <= maxSeconds):
 			quirks.BadSubmit++
 			continue
-		case !(rec.Runtime > 0 && rec.Runtime <= swfMaxSeconds):
+		case !(rec.Runtime > 0 && rec.Runtime <= maxSeconds):
 			quirks.BadRuntime++
 			continue
 		case rec.Procs <= 0 || math.IsNaN(rec.Procs) || math.IsInf(rec.Procs, 0):
@@ -306,7 +299,7 @@ type SWFShape struct {
 // prototype and in a lightweight replay).
 func ShapeSWF(rec SWFRecord, opts SWFOptions, rand float64) SWFShape {
 	limit := rec.ReqTime
-	if !(limit > 0 && limit >= rec.Runtime && limit <= swfMaxSeconds) {
+	if !(limit > 0 && limit >= rec.Runtime && limit <= maxSeconds) {
 		limit = rec.Runtime * 2
 	}
 	sh := SWFShape{Nodes: SWFNodes(rec, opts), Limit: limit + 60, Runtime: rec.Runtime}
