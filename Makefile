@@ -8,8 +8,10 @@
 GO      ?= go
 FUZZTIME ?= 10s
 SWEEPDIR := .sweep-smoke
+DIGESTDIR := .sweep-digests
+SWEEPDIGESTS := internal/experiments/testdata/sweep_digests.txt
 
-.PHONY: build vet lint test race fuzz bbcheck tbfcheck sweep-smoke bench-replay bench-replay-check bench-system bench-system-check check
+.PHONY: build vet lint test race fuzz bbcheck tbfcheck sweep-smoke sweep-digests bench-replay bench-replay-check bench-system bench-system-check check
 
 build:
 	$(GO) build ./...
@@ -42,6 +44,21 @@ sweep-smoke:
 	$(SWEEPDIR)/wasched sweep resume fig6-smoke -workers 2 -state-dir $(SWEEPDIR) -quiet
 	$(SWEEPDIR)/wasched sweep status fig6-smoke -state-dir $(SWEEPDIR) | grep -q ' 0 remaining'
 	@rm -rf $(SWEEPDIR)
+
+# Run every registered sweep through one freshly built wasched and compare
+# the SHA-256 of its stdout with the digests stored in $(SWEEPDIGESTS);
+# TestSweepDigestsMatchStored checks the cheap sweeps in every go test.
+sweep-digests:
+	@rm -rf $(DIGESTDIR)
+	$(GO) build -o $(DIGESTDIR)/wasched ./cmd/wasched
+	@fail=0; while read -r name want; do \
+		case "$$name" in ''|'#'*) continue;; esac; \
+		$(DIGESTDIR)/wasched sweep run $$name -seed 1 > $(DIGESTDIR)/$$name.out || exit 1; \
+		got=$$(sha256sum < $(DIGESTDIR)/$$name.out | cut -d' ' -f1); \
+		if [ "$$got" = "$$want" ]; then echo "sweep $$name: ok"; \
+		else echo "sweep $$name: stdout digest $$got, stored $$want"; fail=1; fi; \
+	done < $(SWEEPDIGESTS); [ $$fail -eq 0 ]
+	@rm -rf $(DIGESTDIR)
 
 # Burst-buffer end-to-end smoke: replay the bundled 10k-job trace with a
 # synthetic BB assignment through both BB-aware policies, with every
