@@ -2,9 +2,11 @@
 // bundled 10k-job SWF trace and appends the result to BENCH_replay.json,
 // the repository's performance trajectory for the scheduling hot path.
 // With a previous entry present it fails (exit 1) when any policy's
-// allocs/op grows past the alloc threshold (the deterministic signal) or
-// its jobs/s drops past the wall-clock threshold; `make bench-replay-check`
-// runs this in CI.
+// allocs/op grows past the alloc threshold (the deterministic signal), or
+// when its jobs/s drops past the wall-clock threshold against the latest
+// entry measured on the same host (CPU model, GOMAXPROCS and GOARCH);
+// with no such entry the jobs/s are printed but not gated. `make
+// bench-replay-check` runs this in CI.
 //
 // Usage:
 //
@@ -14,11 +16,13 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -46,12 +50,21 @@ type FarmBench struct {
 	AllocsPerOp         int64   `json:"allocs_per_op"`
 }
 
+// Host fingerprints the machine an entry was measured on: wall-clock
+// jobs/s compare only between entries with equal fingerprints.
+type Host struct {
+	CPU        string `json:"cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GOARCH     string `json:"goarch"`
+}
+
 // Entry is one point of the performance trajectory.
 type Entry struct {
 	Date     string                 `json:"date"`
 	Label    string                 `json:"label"`
 	Trace    string                 `json:"trace"`
 	Jobs     int                    `json:"jobs"`
+	Host     *Host                  `json:"host,omitempty"`
 	Policies map[string]PolicyBench `json:"policies"`
 	Farm     *FarmBench             `json:"farm_fig6,omitempty"`
 	Note     string                 `json:"note,omitempty"`
@@ -93,6 +106,7 @@ func run() error {
 		Label:    *label,
 		Trace:    *trace,
 		Jobs:     len(jobs),
+		Host:     thisHost(),
 		Policies: map[string]PolicyBench{},
 	}
 	if entry.Label == "" {
@@ -158,9 +172,16 @@ func run() error {
 		return err
 	}
 	if prev := lastWithPolicies(history); prev != nil {
-		if err := compare(prev, &entry, *threshold, *allocThreshold); err != nil {
+		if err := compareAllocs(prev, &entry, *allocThreshold); err != nil {
 			return err
 		}
+	}
+	if prev := lastOnHost(history, entry.Host); prev != nil {
+		if err := compareJobs(prev, &entry, *threshold); err != nil {
+			return err
+		}
+	} else {
+		fmt.Printf("no earlier entry from this host (%s): jobs/s recorded, not gated\n", entry.Host)
 	}
 	if *checkOnly {
 		return nil
@@ -201,47 +222,104 @@ func measureFarm() *FarmBench {
 	return fb
 }
 
-// lastWithPolicies finds the most recent entry carrying per-policy replay
-// numbers (seed entries may have only derived aggregates).
-func lastWithPolicies(history []Entry) *Entry {
-	for i := len(history) - 1; i >= 0; i-- {
-		if len(history[i].Policies) > 0 {
-			return &history[i]
+// thisHost fingerprints the running machine. The CPU model comes from
+// the first "model name" line of /proc/cpuinfo; where that is missing the
+// fingerprint is nil, so the entry's jobs/s never gate another's.
+func thisHost() *Host {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return nil
+	}
+	//waschedlint:allow checkederr the file is read-only; close cannot lose data
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		key, value, ok := strings.Cut(sc.Text(), ":")
+		if ok && strings.TrimSpace(key) == "model name" {
+			return &Host{CPU: strings.TrimSpace(value), GOMAXPROCS: runtime.GOMAXPROCS(0), GOARCH: runtime.GOARCH}
 		}
 	}
 	return nil
 }
 
-// compare fails when any policy present in both entries regressed vs the
-// previous entry: allocs/op is the primary gate (deterministic — immune to
-// host contention, and hot-path churn shows up there first), jobs/s the
-// secondary with a wide threshold since shared runners swing wall-clock
-// throughput by double-digit percentages between runs.
-func compare(prev, cur *Entry, threshold, allocThreshold float64) error {
-	labels := make([]string, 0, len(prev.Policies))
+func (h *Host) String() string {
+	if h == nil {
+		return "unknown CPU model"
+	}
+	return fmt.Sprintf("%s, GOMAXPROCS=%d, %s", h.CPU, h.GOMAXPROCS, h.GOARCH)
+}
+
+// lastWithPolicies finds the most recent entry carrying per-policy replay
+// numbers (seed entries may have only derived aggregates).
+func lastWithPolicies(history []Entry) *Entry {
+	return lastMatching(history, func(*Entry) bool { return true })
+}
+
+// lastOnHost finds the most recent entry with per-policy numbers measured
+// on an equal host; an unknown host matches nothing.
+func lastOnHost(history []Entry, host *Host) *Entry {
+	if host == nil {
+		return nil
+	}
+	return lastMatching(history, func(e *Entry) bool { return e.Host != nil && *e.Host == *host })
+}
+
+func lastMatching(history []Entry, match func(*Entry) bool) *Entry {
+	for i := len(history) - 1; i >= 0; i-- {
+		if e := &history[i]; len(e.Policies) > 0 && match(e) {
+			return e
+		}
+	}
+	return nil
+}
+
+// sharedLabels lists, sorted, the policies present in both entries.
+func sharedLabels(prev, cur *Entry) []string {
+	var labels []string
 	for label := range prev.Policies {
-		labels = append(labels, label)
+		if _, ok := cur.Policies[label]; ok {
+			labels = append(labels, label)
+		}
 	}
 	sort.Strings(labels)
-	for _, label := range labels {
-		p := prev.Policies[label]
-		c, ok := cur.Policies[label]
-		if !ok || p.JobsPerSec <= 0 {
+	return labels
+}
+
+// compareAllocs fails when any policy's allocs/op grew past the threshold
+// vs the previous entry. allocs/op is the primary gate: deterministic,
+// immune to host contention, and hot-path churn shows up there first.
+func compareAllocs(prev, cur *Entry, allocThreshold float64) error {
+	for _, label := range sharedLabels(prev, cur) {
+		p, c := prev.Policies[label], cur.Policies[label]
+		if p.AllocsPerOp <= 0 {
 			continue
 		}
-		if p.AllocsPerOp > 0 {
-			growth := float64(c.AllocsPerOp-p.AllocsPerOp) / float64(p.AllocsPerOp)
-			if growth > allocThreshold {
-				return fmt.Errorf("policy %s allocs/op grew %.0f%% (%d → %d, threshold %.0f%%) vs entry %q (%s)",
-					label, 100*growth, p.AllocsPerOp, c.AllocsPerOp, 100*allocThreshold, prev.Label, prev.Date)
-			}
+		growth := float64(c.AllocsPerOp-p.AllocsPerOp) / float64(p.AllocsPerOp)
+		if growth > allocThreshold {
+			return fmt.Errorf("policy %s allocs/op grew %.0f%% (%d → %d, threshold %.0f%%) vs entry %q (%s)",
+				label, 100*growth, p.AllocsPerOp, c.AllocsPerOp, 100*allocThreshold, prev.Label, prev.Date)
+		}
+		fmt.Printf("vs %q: %-16s %+d allocs/op\n", prev.Label, label, c.AllocsPerOp-p.AllocsPerOp)
+	}
+	return nil
+}
+
+// compareJobs fails when any policy's jobs/s dropped past the threshold vs
+// an entry from the same host. The threshold is wide because shared
+// runners swing wall-clock throughput by double-digit percentages between
+// runs.
+func compareJobs(prev, cur *Entry, threshold float64) error {
+	for _, label := range sharedLabels(prev, cur) {
+		p, c := prev.Policies[label], cur.Policies[label]
+		if p.JobsPerSec <= 0 {
+			continue
 		}
 		drop := (p.JobsPerSec - c.JobsPerSec) / p.JobsPerSec
 		if drop > threshold {
 			return fmt.Errorf("policy %s regressed %.0f%% (%.0f → %.0f jobs/s, threshold %.0f%%) vs entry %q (%s)",
 				label, 100*drop, p.JobsPerSec, c.JobsPerSec, 100*threshold, prev.Label, prev.Date)
 		}
-		fmt.Printf("vs %q: %-16s %+.0f%% jobs/s, %+d allocs/op\n", prev.Label, label, -100*drop, c.AllocsPerOp-p.AllocsPerOp)
+		fmt.Printf("vs %q: %-16s %+.0f%% jobs/s\n", prev.Label, label, -100*drop)
 	}
 	return nil
 }

@@ -6,37 +6,26 @@
 //	wasched workloads
 //	wasched run <experiment> [-seed N] [-parallel N]
 //	wasched replay <trace.swf[.gz]> [-policy P] ...
-//	wasched sweep list|run|resume|status|clean ...
+//	wasched sweep list|run ...
 //
 // `wasched list` prints the registered experiments (fig3..fig6 plus the
 // ablations); `wasched run` executes one and prints its report, including
-// ASCII renderings of the figures' panels. `wasched sweep` drives the farm
-// orchestrator directly: parallel cell execution with checkpoint/resume
-// (-state-dir), live progress on stderr, and graceful drain on Ctrl-C — an
-// interrupted sweep exits with code 3 and `sweep resume` picks up the
-// remaining cells.
+// ASCII renderings of the figures' panels. `wasched sweep run` drives the
+// farm's worker pool directly: the sweep's cells run in parallel and the
+// report is the same for any -workers value.
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"wasched/internal/experiments"
-	"wasched/internal/farm"
 )
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "wasched:", err)
-		if errors.Is(err, farm.ErrInterrupted) {
-			os.Exit(3) // resumable: finished cells are journaled
-		}
 		os.Exit(1)
 	}
 }
@@ -107,7 +96,6 @@ func run(args []string) error {
 		out := fs.String("out", "", "output file (default stdout)")
 		csvDir := fs.String("csv", "", "directory for per-run CSV exports")
 		parallel := fs.Int("parallel", 0, "worker bound for multi-run experiments (<=0: GOMAXPROCS)")
-		stateDir := fs.String("state-dir", "", "checkpoint the report experiment by experiment; a crashed report resumes from here")
 		if err := fs.Parse(args[1:]); err != nil {
 			return err
 		}
@@ -122,12 +110,8 @@ func run(args []string) error {
 			w = f
 			progress = os.Stderr
 		}
-		// With a state dir, Ctrl-C leaves a resumable checkpoint (exit 3),
-		// matching `wasched sweep run`.
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		err := experiments.WriteFullReport(ctx, w,
-			experiments.RunOptions{Seed: *seed, CSVDir: *csvDir, Workers: *parallel, StateDir: *stateDir}, progress)
+		err := experiments.WriteFullReport(w,
+			experiments.RunOptions{Seed: *seed, CSVDir: *csvDir, Workers: *parallel}, progress)
 		if f != nil {
 			// A close error on the written report means data may not have
 			// reached disk; surface it unless the report itself failed.
@@ -148,7 +132,7 @@ func run(args []string) error {
 // runSweep dispatches the `wasched sweep` subcommands.
 func runSweep(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: wasched sweep list|run|resume|status|clean ...")
+		return fmt.Errorf("usage: wasched sweep list|run ...")
 	}
 	switch args[0] {
 	case "list":
@@ -158,201 +142,39 @@ func runSweep(args []string) error {
 		}
 		return nil
 	case "run":
-		return sweepRun(args[1:], false)
-	case "resume":
-		return sweepRun(args[1:], true)
-	case "status":
-		return sweepStatus(args[1:])
-	case "clean":
-		return sweepClean(args[1:])
+		return sweepRun(args[1:])
 	default:
-		return fmt.Errorf("unknown sweep command %q (want list, run, resume, status or clean)", args[0])
+		return fmt.Errorf("unknown sweep command %q (want list or run)", args[0])
 	}
 }
 
-// sweepClean garbage-collects a state dir: corrupt cache entries, cache
-// entries no journal references, and leftover .tmp files.
-func sweepClean(args []string) error {
-	fs := flag.NewFlagSet("sweep clean", flag.ContinueOnError)
-	stateDir := fs.String("state-dir", "", "state directory to garbage-collect")
-	dryRun := fs.Bool("dry-run", false, "report what would be removed without touching anything")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 0 {
-		return fmt.Errorf("sweep clean: unexpected arguments %v", fs.Args())
-	}
-	if *stateDir == "" {
-		return fmt.Errorf("sweep clean needs -state-dir")
-	}
-	rep, err := farm.Clean(*stateDir, *dryRun)
-	if err != nil {
-		return err
-	}
-	for _, j := range rep.DamagedJournals {
-		fmt.Printf("damaged journal: %s (orphan collection suppressed)\n", j)
-	}
-	for _, c := range rep.Corrupt {
-		fmt.Printf("corrupt: %s\n", c)
-	}
-	for _, o := range rep.Orphaned {
-		fmt.Printf("orphaned: %s\n", o)
-	}
-	for _, t := range rep.Temp {
-		fmt.Printf("leftover: %s\n", t)
-	}
-	verb, total := "removed", rep.Removed
-	if *dryRun {
-		verb = "would remove"
-		total = len(rep.Corrupt) + len(rep.Temp)
-		if len(rep.DamagedJournals) == 0 {
-			total += len(rep.Orphaned)
-		}
-	}
-	fmt.Printf("sweep clean: scanned %d cache entries across %d journal(s), %s %d file(s)\n",
-		rep.Scanned, len(rep.Journals), verb, total)
-	return nil
-}
-
-// sweepFlags parses a sweep subcommand's flags, accepting them before or
-// after the sweep name (as `wasched run` does).
-type sweepFlags struct {
-	name     string
-	seed     uint64
-	repeats  int
-	workers  int
-	stateDir string
-	maxCells int
-	quiet    bool
-}
-
-func parseSweepFlags(cmd string, args []string) (*sweepFlags, error) {
-	fs := flag.NewFlagSet("sweep "+cmd, flag.ContinueOnError)
+// sweepRun executes a registered sweep and prints its report. Flags are
+// accepted before or after the sweep name (as `wasched run` does).
+func sweepRun(args []string) error {
+	const usage = "usage: wasched sweep run <name> [-seed N] [-repeats N] [-workers N]"
+	fs := flag.NewFlagSet("sweep run", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 1, "sweep seed (same seed → identical cells and results)")
 	repeats := fs.Int("repeats", 0, "repeat-count override where the sweep supports it (0: default)")
 	workers := fs.Int("workers", 0, "concurrent cell executions (<=0: GOMAXPROCS)")
-	stateDir := fs.String("state-dir", "", "state directory for the result cache and checkpoint journal")
-	maxCells := fs.Int("max-cells", 0, "stop after N fresh cells as if interrupted (testing resume; 0: off)")
-	quiet := fs.Bool("quiet", false, "suppress the periodic progress lines on stderr")
 	if err := fs.Parse(args); err != nil {
-		return nil, err
+		return err
 	}
 	rest := fs.Args()
 	if len(rest) == 0 {
-		return nil, fmt.Errorf("usage: wasched sweep %s <name> [-seed N] [-repeats N] [-workers N] [-state-dir DIR] [-max-cells N] [-quiet]", cmd)
+		return fmt.Errorf(usage)
 	}
 	name := rest[0]
 	if err := fs.Parse(rest[1:]); err != nil {
-		return nil, err
+		return err
 	}
 	if fs.NArg() != 0 {
-		return nil, fmt.Errorf("sweep %s: unexpected arguments %v", cmd, fs.Args())
+		return fmt.Errorf("sweep run: unexpected arguments %v", fs.Args())
 	}
-	return &sweepFlags{name: name, seed: *seed, repeats: *repeats, workers: *workers,
-		stateDir: *stateDir, maxCells: *maxCells, quiet: *quiet}, nil
-}
-
-// sweepRun executes (or resumes) a registered sweep. Resume is the same
-// operation re-run against the same state dir — cached cells are served
-// from disk and only the remainder executes — but it insists on a state
-// dir, because without one there is nothing to resume from.
-func sweepRun(args []string, resume bool) error {
-	cmd := "run"
-	if resume {
-		cmd = "resume"
-	}
-	f, err := parseSweepFlags(cmd, args)
-	if err != nil {
-		return err
-	}
-	if resume && f.stateDir == "" {
-		return fmt.Errorf("sweep resume needs -state-dir (the directory of the interrupted run)")
-	}
-	s, ok := experiments.Sweeps()[f.name]
+	s, ok := experiments.Sweeps()[name]
 	if !ok {
-		return fmt.Errorf("unknown sweep %q (try `wasched sweep list`)", f.name)
+		return fmt.Errorf("unknown sweep %q (try `wasched sweep list`)", name)
 	}
-	cfg := experiments.SweepConfig{Seed: f.seed, Repeats: f.repeats}
-
-	// Ctrl-C / SIGTERM cancels dispatch; in-flight cells drain and journal
-	// before exit, so `sweep resume` picks up exactly the remaining cells.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	var progress io.Writer
-	if !f.quiet {
-		progress = os.Stderr
-	}
-	sum, err := farm.Run(ctx, f.name, s.Cells(cfg), s.Exec(cfg),
-		farm.Options{Workers: f.workers, StateDir: f.stateDir, Progress: progress, MaxFresh: f.maxCells})
-	if err != nil {
-		return err
-	}
-	if err := sum.Err(); err != nil {
-		for _, o := range sum.Outcomes {
-			if o.Status == farm.StatusFailed {
-				fmt.Fprintf(os.Stderr, "wasched: cell %s failed: %s\n", o.Cell, firstLine(o.Err))
-			}
-		}
-		return err
-	}
-	return s.Report(os.Stdout, cfg, sum)
-}
-
-// sweepStatus reports a sweep's progress from its checkpoint journal.
-func sweepStatus(args []string) error {
-	fs := flag.NewFlagSet("sweep status", flag.ContinueOnError)
-	stateDir := fs.String("state-dir", "", "read the checkpoint journal in this state directory")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	name := ""
-	if rest := fs.Args(); len(rest) > 0 {
-		name = rest[0]
-		if err := fs.Parse(rest[1:]); err != nil {
-			return err
-		}
-		if fs.NArg() != 0 {
-			return fmt.Errorf("sweep status: unexpected arguments %v", fs.Args())
-		}
-	}
-	if *stateDir == "" || name == "" {
-		return fmt.Errorf("usage: wasched sweep status <name> -state-dir DIR")
-	}
-	st, err := farm.ReadStatus(*stateDir, name)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("sweep %s: %d cells, %d done (%d cache hits, %d computed), %d failed, %d remaining (%d run(s), last event %s)\n",
-		st.Name, st.Cells, st.Done, st.CacheHits, st.Computed, st.Failed, st.Remaining, st.Runs,
-		st.LastEvent.Format("2006-01-02 15:04:05 MST"))
-	fmt.Printf("  progress: %s\n", sweepProgress(st))
-	for _, c := range st.FailedCells {
-		fmt.Printf("  failed: %s\n", c)
-	}
-	if st.Remaining > 0 {
-		fmt.Printf("resume with: wasched sweep resume %s -state-dir %s\n", st.Name, *stateDir)
-	}
-	return nil
-}
-
-// sweepProgress renders a status's completion fraction. A zero-cell sweep
-// (a journal whose begin record counted no cells) has no meaningful
-// fraction, so it renders n/a instead of dividing by zero.
-func sweepProgress(st *farm.SweepStatus) string {
-	if st.Cells <= 0 {
-		return "n/a (no cells in the latest run)"
-	}
-	return fmt.Sprintf("%.1f%% complete", 100*float64(st.Done)/float64(st.Cells))
-}
-
-func firstLine(s string) string {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			return s[:i]
-		}
-	}
-	return s
+	return s.Run(os.Stdout, experiments.SweepConfig{Seed: *seed, Repeats: *repeats}, *workers)
 }
 
 func usage() {
@@ -371,19 +193,10 @@ commands:
                        (assigning synthetic reservations to -bb-fraction of
                        jobs) for the plan and bb-io-aware policies
   sweep list           list the registered cell sweeps
-  sweep run <name> [-seed N] [-repeats N] [-workers N] [-state-dir DIR] [-quiet]
-                       run a sweep through the farm orchestrator; with a
-                       state dir, finished cells are cached and Ctrl-C
-                       leaves a resumable checkpoint (exit code 3)
-  sweep resume <name> -state-dir DIR
-                       finish an interrupted sweep from its checkpoint
-  sweep status <name> -state-dir DIR
-                       summarise a sweep's checkpoint journal
-  sweep clean -state-dir DIR [-dry-run]
-                       garbage-collect corrupt, orphaned and leftover
-                       cache files from a state directory
-  report [-seed N] [-out FILE] [-csv DIR] [-parallel N] [-state-dir DIR]
-                       run every experiment and write one full report;
-                       with a state dir, a crashed report resumes
+  sweep run <name> [-seed N] [-repeats N] [-workers N]
+                       run a sweep's cells on the farm's worker pool and
+                       print its report (identical for any -workers)
+  report [-seed N] [-out FILE] [-csv DIR] [-parallel N]
+                       run every experiment and write one full report
   verify [-seed N]     check the headline reproduction claims (exit 1 on failure)`)
 }

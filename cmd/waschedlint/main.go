@@ -1,6 +1,6 @@
 // Command waschedlint runs the repository's static-analysis suite: the
 // analyzers that pin the invariants bit-identical replay and the farm's
-// content-hashed result cache depend on (see internal/lint).
+// worker-count-independent sweeps depend on (see internal/lint).
 //
 // Usage:
 //

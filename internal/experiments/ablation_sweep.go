@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -12,7 +11,7 @@ import (
 // comparison table over scheduler variants or parameter sweeps. The CLI
 // registry (`wasched run ablation-*`) and the "ablations" sweep are both
 // derived from this list, so a grid registered here is automatically
-// runnable standalone and cached under a state dir.
+// runnable standalone and as a sweep cell.
 type AblationGrid struct {
 	Name        string
 	Description string
@@ -39,18 +38,18 @@ func AblationGrids() []AblationGrid {
 	}
 }
 
-// AblationDigest is the cacheable summary of one ablation table row: the
+// AblationDigest is the summary of one ablation table row: the
 // numbers PrintAblation renders, without the run's recorders (use
 // `wasched run <grid> -csv` for the full series).
 type AblationDigest struct {
-	Label           string  `json:"label"`
-	Makespan        float64 `json:"makespan_s"`
-	VsBase          float64 `json:"vs_base"`
-	Busy            float64 `json:"busy_nodes"`
-	Throughput      float64 `json:"throughput_gib_s"`
-	IdleNodeSeconds float64 `json:"idle_node_s"`
-	Timeouts        int     `json:"timeouts"`
-	Extra           string  `json:"extra,omitempty"`
+	Label           string
+	Makespan        float64
+	VsBase          float64
+	Busy            float64
+	Throughput      float64
+	IdleNodeSeconds float64
+	Timeouts        int
+	Extra           string
 }
 
 // DigestAblation reduces full ablation rows to their table digests.
@@ -90,12 +89,11 @@ func PrintAblationDigests(w io.Writer, rows []AblationDigest) {
 }
 
 // ablationSweep registers every grid as one cell of the "ablations"
-// sweep, so a crashed full-ablation run resumes from the grids already
-// cached and the farm's workers run the grids in parallel.
+// sweep, so the farm's workers run the grids in parallel.
 func ablationSweep() Sweep {
 	return Sweep{
 		Name:        "ablations",
-		Description: "every ablation grid, one cell per grid (cacheable table digests)",
+		Description: "every ablation grid, one cell per grid (table digests)",
 		Cells: func(cfg SweepConfig) []farm.Cell {
 			grids := AblationGrids()
 			cells := make([]farm.Cell, len(grids))
@@ -109,7 +107,7 @@ func ablationSweep() Sweep {
 			for _, g := range AblationGrids() {
 				byName[g.Name] = g
 			}
-			return func(_ context.Context, c farm.Cell) (any, error) {
+			return func(c farm.Cell) (any, error) {
 				g, ok := byName[c.Config]
 				if !ok {
 					return nil, fmt.Errorf("experiments: unknown ablation grid %q", c.Config)
@@ -131,11 +129,7 @@ func reportAblations(w io.Writer, _ SweepConfig, sum *farm.Summary) error {
 	}
 	byName := make(map[string][]AblationDigest, len(sum.Outcomes))
 	for _, o := range sum.Outcomes {
-		var rows []AblationDigest
-		if err := o.Decode(&rows); err != nil {
-			return err
-		}
-		byName[o.Cell.Config] = rows
+		byName[o.Cell.Config] = o.Value().([]AblationDigest)
 	}
 	for i, g := range AblationGrids() {
 		rows, ok := byName[g.Name]

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"io"
 	"os"
 	"strings"
@@ -510,7 +509,7 @@ func TestWriteFullReportSmoke(t *testing.T) {
 		t.Skip("set WASCHED_FULL_REPORT_TEST=1 to run the ~2 min full-report smoke test")
 	}
 	var buf bytes.Buffer
-	if err := WriteFullReport(context.Background(), &buf, RunOptions{Seed: 1}, io.Discard); err != nil {
+	if err := WriteFullReport(&buf, RunOptions{Seed: 1}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"fig3", "fig4", "fig5", "fig6", "ablation-two-group", "sweep-limit"} {

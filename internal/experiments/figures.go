@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"io"
 	"sort"
 
 	"wasched/internal/cluster"
@@ -108,25 +106,15 @@ type Fig4Config struct {
 	Measure des.Duration // sampled window per point
 	Seed    uint64
 	PFS     pfs.Config
-	// Farm passes the calibration ladder through the sweep orchestrator:
-	// worker count, resume state dir, progress sink.
+	// Farm bounds the calibration ladder's parallelism.
 	Farm FarmOptions
 }
 
-// FarmOptions are the orchestration knobs shared by the farm-backed
-// experiments (fig4 ladder, fig6 repeat matrix, figure panels).
+// FarmOptions is the worker bound shared by the farm-backed experiments
+// (fig4 ladder, fig6 repeat matrix, figure panels).
 type FarmOptions struct {
 	// Workers bounds parallel cell execution (<= 0: GOMAXPROCS).
 	Workers int
-	// StateDir enables the on-disk result cache + checkpoint journal so
-	// interrupted sweeps resume without recomputing finished cells.
-	StateDir string
-	// Progress receives periodic farm progress lines (nil: silent).
-	Progress io.Writer
-}
-
-func (o FarmOptions) farm() farm.Options {
-	return farm.Options{Workers: o.Workers, StateDir: o.StateDir, Progress: o.Progress}
 }
 
 // DefaultFig4Config matches the paper's sweep: 0..15 jobs, with a 60 s
@@ -143,7 +131,7 @@ func DefaultFig4Config() Fig4Config {
 
 // Fig4Cells enumerates the calibration ladder as farm work units, one per
 // concurrent-job count. The config key carries the measurement windows so
-// cached results from differently-tuned ladders never collide.
+// differently-tuned ladders never share a cell.
 func Fig4Cells(cfg Fig4Config) []farm.Cell {
 	cells := make([]farm.Cell, 0, cfg.MaxJobs+1)
 	for k := 0; k <= cfg.MaxJobs; k++ {
@@ -159,7 +147,7 @@ func Fig4Cells(cfg Fig4Config) []farm.Cell {
 
 // Fig4Exec returns the farm executor for calibration-ladder cells.
 func Fig4Exec(cfg Fig4Config) farm.Exec {
-	return func(_ context.Context, c farm.Cell) (any, error) {
+	return func(c farm.Cell) (any, error) {
 		var k int
 		if _, err := fmt.Sscanf(c.Config, "k=%d", &k); err != nil {
 			return nil, fmt.Errorf("experiments: bad fig4 cell config %q: %w", c.Config, err)
@@ -176,8 +164,8 @@ func Fig4Exec(cfg Fig4Config) farm.Exec {
 // "write×8" jobs running continuously (each job restarts when it finishes,
 // as the paper's steady-state phases do), samples the total throughput
 // every second, and reports the distribution. The ladder's points are
-// independent simulations, so they run through the farm orchestrator in
-// parallel (cfg.Farm tunes workers, resume and progress).
+// independent simulations, so they run on the farm's worker pool in
+// parallel (cfg.Farm bounds the workers).
 func RunFig4(cfg Fig4Config) ([]Fig4Point, error) {
 	if cfg.MaxJobs < 0 {
 		return nil, fmt.Errorf("experiments: MaxJobs must be non-negative, got %d", cfg.MaxJobs)
@@ -185,7 +173,7 @@ func RunFig4(cfg Fig4Config) ([]Fig4Point, error) {
 	if cfg.Warmup < 0 || cfg.Measure <= 0 {
 		return nil, fmt.Errorf("experiments: invalid warmup/measure windows")
 	}
-	sum, err := farm.Run(context.Background(), "fig4", Fig4Cells(cfg), Fig4Exec(cfg), cfg.Farm.farm())
+	sum, err := farm.Run(Fig4Cells(cfg), Fig4Exec(cfg), farm.Options{Workers: cfg.Farm.Workers})
 	if err != nil {
 		return nil, err
 	}
@@ -200,18 +188,14 @@ func Fig4Points(sum *farm.Summary) ([]Fig4Point, error) {
 	}
 	out := make([]Fig4Point, 0, len(sum.Outcomes))
 	for _, o := range sum.Outcomes {
-		var p Fig4Point
-		if err := o.Decode(&p); err != nil {
-			return nil, err
-		}
-		out = append(out, p)
+		out = append(out, o.Value().(Fig4Point))
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Jobs < out[b].Jobs })
 	return out, nil
 }
 
-// sweepErr folds a sweep summary into an error, naming the first failed
-// cell so the cause does not drown in the tally.
+// sweepErr folds a sweep summary into an error, naming every failed
+// cell so one cause does not mask another.
 func sweepErr(sum *farm.Summary) error {
 	err := sum.Err()
 	if err == nil {
@@ -219,7 +203,7 @@ func sweepErr(sum *farm.Summary) error {
 	}
 	for _, o := range sum.Outcomes {
 		if o.Status == farm.StatusFailed {
-			return fmt.Errorf("%w; first failure %s: %s", err, o.Cell, firstLine(o.Err))
+			err = fmt.Errorf("%w\n  cell %s: %s", err, o.Cell, firstLine(o.Err))
 		}
 	}
 	return err
@@ -278,11 +262,10 @@ func measureFig4Point(cfg Fig4Config, jobs int) (stats.Box, error) {
 type Fig6Config struct {
 	Repeats int
 	Seed    uint64
-	// Farm carries the sweep orchestration knobs (workers, state dir,
-	// progress).
+	// Farm bounds the repeat matrix's parallelism.
 	Farm FarmOptions
-	// Experiment names the sweep for the farm's result cache ("" =
-	// "fig6"). Sweeps over non-default workloads must use their own name.
+	// Experiment names the sweep's cells ("" = "fig6"). Sweeps over
+	// non-default workloads use their own name.
 	Experiment string
 	// Workload overrides the swept workload (nil = paper Workload 2) —
 	// the hook the smoke sweep and the determinism tests use.
@@ -298,11 +281,11 @@ func (cfg *Fig6Config) normalize() {
 	}
 }
 
-// fig6Payload is the deterministic per-cell result the farm caches and
-// aggregates: everything a Fig6Row needs, nothing simulation-sized.
+// fig6Payload is the deterministic per-cell result the farm aggregates:
+// everything a Fig6Row needs, nothing simulation-sized.
 type fig6Payload struct {
-	Makespan  float64 `json:"makespan_s"`
-	BusyNodes float64 `json:"busy_nodes"`
+	Makespan  float64
+	BusyNodes float64
 }
 
 // Fig6Row is one scheduler configuration's swarm of makespans.
@@ -345,7 +328,7 @@ func Fig6Exec(cfg Fig6Config) farm.Exec {
 	if specs == nil {
 		specs = workload.Workload2()
 	}
-	return func(_ context.Context, c farm.Cell) (any, error) {
+	return func(c farm.Cell) (any, error) {
 		v, err := variantByKey(Fig5Variants(), c.Config)
 		if err != nil {
 			return nil, err
@@ -370,11 +353,7 @@ func Fig6Rows(cfg Fig6Config, sum *farm.Summary) ([]Fig6Row, error) {
 	}
 	byKey := make(map[string][]fig6Payload)
 	for _, o := range sum.Outcomes {
-		var p fig6Payload
-		if err := o.Decode(&p); err != nil {
-			return nil, err
-		}
-		byKey[o.Cell.Config] = append(byKey[o.Cell.Config], p)
+		byKey[o.Cell.Config] = append(byKey[o.Cell.Config], o.Value().(fig6Payload))
 	}
 	rows := make([]Fig6Row, 0, len(byKey))
 	for _, v := range Fig5Variants() {
@@ -415,12 +394,12 @@ func Fig6Rows(cfg Fig6Config, sum *farm.Summary) ([]Fig6Row, error) {
 // makespan distributions, medians, and the median's change versus default.
 //
 // The (variant, seed) runs are independent simulations on separate
-// engines, so they execute through the farm orchestrator in parallel;
+// engines, so they execute on the farm's worker pool in parallel;
 // results are deterministic regardless of worker count because each cell's
 // outcome depends only on its own seed (see TestFig6FarmDeterminism).
 func RunFig6(cfg Fig6Config) ([]Fig6Row, error) {
 	cfg.normalize()
-	sum, err := farm.Run(context.Background(), cfg.Experiment, Fig6Cells(cfg), Fig6Exec(cfg), cfg.Farm.farm())
+	sum, err := farm.Run(Fig6Cells(cfg), Fig6Exec(cfg), farm.Options{Workers: cfg.Farm.Workers})
 	if err != nil {
 		return nil, err
 	}

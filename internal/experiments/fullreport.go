@@ -1,13 +1,9 @@
 package experiments
 
 import (
-	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"time"
-
-	"wasched/internal/farm"
 )
 
 // reportOrder lists the experiments of the full report: figures first in
@@ -34,34 +30,19 @@ func reportBanner(w io.Writer, name, description string) {
 
 // WriteFullReport runs every registered experiment and writes a single
 // plain-text report — the `wasched report` command. Wall-clock progress
-// goes to progress (nil discards it). With opts.StateDir set, each
-// experiment's text runs as one farm cell under checkpoint/resume: a
-// crashed or cancelled report re-invocation serves the finished
-// experiments from the cache and recomputes only the rest (cancellation
-// surfaces as farm.ErrInterrupted, the CLI's resumable exit). CSV export
-// is incompatible with a state dir — cached cells skip their exporters,
-// which would silently leave holes in the CSV directory.
-func WriteFullReport(ctx context.Context, w io.Writer, opts RunOptions, progress io.Writer) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// goes to progress (nil discards it).
+func WriteFullReport(w io.Writer, opts RunOptions, progress io.Writer) error {
+	return writeReport(w, reportOrder(), Registry(), opts, progress)
+}
+
+// writeReport writes the report of the named experiments in order.
+func writeReport(w io.Writer, order []string, reg map[string]Entry, opts RunOptions, progress io.Writer) error {
 	if progress == nil {
 		progress = io.Discard
 	}
-	if opts.StateDir != "" {
-		if opts.CSVDir != "" {
-			return fmt.Errorf("experiments: -csv is incompatible with -state-dir (cached experiments would skip their CSV exports)")
-		}
-		return writeReportFromCells(ctx, w, reportOrder(), Registry(), opts,
-			farm.Options{Workers: 1, StateDir: opts.StateDir, Progress: progress})
-	}
-	reg := Registry()
 	fmt.Fprintf(w, "wasched full experiment report (seed %d)\n", opts.Seed)
 	fmt.Fprintf(w, "%s\n\n", repeat('=', 72))
-	for _, name := range reportOrder() {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	for _, name := range order {
 		entry := reg[name]
 		reportBanner(w, name, entry.Description)
 		start := time.Now()
@@ -69,65 +50,6 @@ func WriteFullReport(ctx context.Context, w io.Writer, opts RunOptions, progress
 			return fmt.Errorf("experiments: %s: %w", name, err)
 		}
 		fmt.Fprintf(progress, "%-22s done in %s\n", name, time.Since(start).Round(time.Millisecond))
-	}
-	return nil
-}
-
-// reportPayload is the cached text of one report section.
-type reportPayload struct {
-	Name string `json:"name"`
-	Text string `json:"text"`
-}
-
-// writeReportFromCells runs the named experiments as farm cells — one
-// cell per experiment, its rendered text as the payload — and assembles
-// the report in order from the summary. Workers is 1 at the cell level
-// (report sections are heavyweight and internally parallel via
-// opts.Workers); the win of the farm layer here is the checkpoint, not
-// fan-out.
-func writeReportFromCells(ctx context.Context, w io.Writer, order []string, reg map[string]Entry,
-	opts RunOptions, fopts farm.Options) error {
-	cells := make([]farm.Cell, len(order))
-	for i, name := range order {
-		cells[i] = farm.Cell{Experiment: "report", Config: name, Seed: opts.Seed}
-	}
-	exec := func(_ context.Context, c farm.Cell) (any, error) {
-		entry, ok := reg[c.Config]
-		if !ok {
-			return nil, fmt.Errorf("experiments: unknown experiment %q", c.Config)
-		}
-		var buf bytes.Buffer
-		// Only the seed reaches the cell: the text must be a pure function
-		// of (experiment, seed) for the cache to be sound. Workers rides
-		// along because it cannot change any experiment's output.
-		if err := entry.Run(&buf, RunOptions{Seed: c.Seed, Workers: opts.Workers}); err != nil {
-			return nil, err
-		}
-		return reportPayload{Name: c.Config, Text: buf.String()}, nil
-	}
-	sum, err := farm.Run(ctx, "report", cells, exec, fopts)
-	if err != nil {
-		return err
-	}
-	if err := sum.Err(); err != nil {
-		for _, o := range sum.Outcomes {
-			if o.Status == farm.StatusFailed {
-				return fmt.Errorf("experiments: %s: %s (%w)", o.Cell.Config, firstLine(o.Err), err)
-			}
-		}
-		return err
-	}
-	fmt.Fprintf(w, "wasched full experiment report (seed %d)\n", opts.Seed)
-	fmt.Fprintf(w, "%s\n\n", repeat('=', 72))
-	for _, o := range sum.Outcomes {
-		var p reportPayload
-		if err := o.Decode(&p); err != nil {
-			return err
-		}
-		reportBanner(w, o.Cell.Config, reg[o.Cell.Config].Description)
-		if _, err := io.WriteString(w, p.Text); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -2,9 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -14,8 +11,7 @@ import (
 )
 
 // fakeReportRegistry builds a tiny registry of instant "experiments" so
-// the checkpointed-report machinery can be exercised without running real
-// simulations.
+// the report assembly can be exercised without running real simulations.
 func fakeReportRegistry() ([]string, map[string]Entry) {
 	names := []string{"alpha", "beta", "gamma"}
 	reg := make(map[string]Entry, len(names))
@@ -28,53 +24,6 @@ func fakeReportRegistry() ([]string, map[string]Entry) {
 	return names, reg
 }
 
-// TestReportFromCellsResume: a report interrupted after one section exits
-// with ErrInterrupted, and the re-invocation serves the finished section
-// from the cache while producing byte-identical output to an uninterrupted
-// run.
-func TestReportFromCellsResume(t *testing.T) {
-	t.Parallel()
-	order, reg := fakeReportRegistry()
-	opts := RunOptions{Seed: 5}
-
-	ref := &bytes.Buffer{}
-	if err := writeReportFromCells(context.Background(), ref, order, reg, opts,
-		farm.Options{Workers: 1, StateDir: t.TempDir()}); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range order {
-		if !strings.Contains(ref.String(), name+" report seed=5") {
-			t.Fatalf("reference report missing section %q:\n%s", name, ref.String())
-		}
-	}
-
-	dir := t.TempDir()
-	var crash bytes.Buffer
-	err := writeReportFromCells(context.Background(), &crash, order, reg, opts,
-		farm.Options{Workers: 1, StateDir: dir, MaxFresh: 1})
-	if !errors.Is(err, farm.ErrInterrupted) {
-		t.Fatalf("interrupted report: got %v, want ErrInterrupted", err)
-	}
-	var resumed bytes.Buffer
-	if err := writeReportFromCells(context.Background(), &resumed, order, reg, opts,
-		farm.Options{Workers: 1, StateDir: dir}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(resumed.Bytes(), ref.Bytes()) {
-		t.Fatalf("resumed report differs from uninterrupted run:\n%s\n----\n%s", resumed.String(), ref.String())
-	}
-	st, err := farm.ReadStatus(dir, "report")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Runs != 2 || st.Done != len(order) || st.Remaining != 0 {
-		t.Fatalf("report journal: %+v", st)
-	}
-	if st.CacheHits == 0 {
-		t.Fatalf("resume should have served cached sections: %+v", st)
-	}
-}
-
 // TestReportFailedSectionSurfaces: a failing experiment names itself in
 // the error instead of vanishing into a generic tally.
 func TestReportFailedSectionSurfaces(t *testing.T) {
@@ -84,21 +33,9 @@ func TestReportFailedSectionSurfaces(t *testing.T) {
 		return fmt.Errorf("synthetic failure")
 	}}
 	var buf bytes.Buffer
-	err := writeReportFromCells(context.Background(), &buf, order, reg, RunOptions{Seed: 1},
-		farm.Options{Workers: 1, StateDir: t.TempDir()})
+	err := writeReport(&buf, order, reg, RunOptions{Seed: 1}, nil)
 	if err == nil || !strings.Contains(err.Error(), "beta") || !strings.Contains(err.Error(), "synthetic failure") {
 		t.Fatalf("failed section error: %v", err)
-	}
-}
-
-// TestReportStateDirRejectsCSV: cached sections skip their CSV exporters,
-// so the combination is refused up front.
-func TestReportStateDirRejectsCSV(t *testing.T) {
-	t.Parallel()
-	err := WriteFullReport(context.Background(), io.Discard,
-		RunOptions{Seed: 1, StateDir: t.TempDir(), CSVDir: t.TempDir()}, nil)
-	if err == nil || !strings.Contains(err.Error(), "incompatible") {
-		t.Fatalf("state-dir + csv: %v", err)
 	}
 }
 
@@ -138,25 +75,22 @@ func TestAblationRegistryConsistency(t *testing.T) {
 }
 
 // TestAblationsSweepReportSynthetic drives the sweep's Report over a
-// hand-built summary, so the (expensive) grids themselves never run.
+// summary of stand-in cells, so the (expensive) grids themselves never
+// run.
 func TestAblationsSweepReportSynthetic(t *testing.T) {
 	t.Parallel()
 	s := Sweeps()["ablations"]
 	cfg := SweepConfig{Seed: 1}
-	sum := &farm.Summary{Name: "ablations"}
-	for i, c := range s.Cells(cfg) {
-		digests := []AblationDigest{
-			{Label: c.Config + "/base", Makespan: 1000 + float64(i)},
-			{Label: c.Config + "/variant", Makespan: 900 + float64(i), VsBase: -0.1},
-		}
-		payload, err := json.Marshal(digests)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum.Outcomes = append(sum.Outcomes, farm.Outcome{
-			Cell: c, Status: farm.StatusDone, Payload: payload,
-		})
-		sum.Done++
+	cells := s.Cells(cfg)
+	exec := func(c farm.Cell) (any, error) {
+		return []AblationDigest{
+			{Label: c.Config + "/base", Makespan: 1000},
+			{Label: c.Config + "/variant", Makespan: 900, VsBase: -0.1},
+		}, nil
+	}
+	sum, err := farm.Run(cells, exec, farm.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := s.Report(&buf, cfg, sum); err != nil {
@@ -171,7 +105,10 @@ func TestAblationsSweepReportSynthetic(t *testing.T) {
 		}
 	}
 	// An incomplete summary must fail loudly, not print a partial report.
-	short := &farm.Summary{Name: "ablations", Outcomes: sum.Outcomes[:len(sum.Outcomes)-1], Done: sum.Done - 1}
+	short, err := farm.Run(cells[:len(cells)-1], exec, farm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Report(io.Discard, cfg, short); err == nil {
 		t.Fatal("report over an incomplete summary must fail")
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -27,10 +26,6 @@ type RunOptions struct {
 	// panels, fig4 ladder, fig6 repeats); <= 0 uses GOMAXPROCS. The cell
 	// results are identical for any worker count.
 	Workers int
-	// StateDir, when non-empty, checkpoints the full report experiment by
-	// experiment (WriteFullReport): a crashed or cancelled report resumes
-	// from the cached sections. Incompatible with CSVDir.
-	StateDir string
 }
 
 // Runner executes one named experiment, writing a human-readable report.
@@ -154,10 +149,10 @@ func runFigAll(w io.Writer, opts RunOptions, experiment, title string, variants 
 	for i, v := range variants {
 		cells[i] = farm.Cell{Experiment: experiment, Config: v.Key, Seed: opts.Seed}
 	}
-	exec := func(_ context.Context, c farm.Cell) (any, error) {
+	exec := func(c farm.Cell) (any, error) {
 		return run(c.Config, c.Seed)
 	}
-	sum, err := farm.Run(context.Background(), experiment, cells, exec, farm.Options{Workers: opts.Workers})
+	sum, err := farm.Run(cells, exec, farm.Options{Workers: opts.Workers})
 	if err != nil {
 		return err
 	}
@@ -324,7 +319,7 @@ func ablationRunner(run func(uint64) ([]AblationRow, error)) Runner {
 }
 
 // PrintAblation renders an ablation comparison table. It goes through the
-// digest form so the standalone runner and the cached "ablations" sweep
+// digest form so the standalone runner and the "ablations" sweep
 // print identical tables.
 func PrintAblation(w io.Writer, rows []AblationRow) {
 	PrintAblationDigests(w, DigestAblation(rows))

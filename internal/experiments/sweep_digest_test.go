@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"os"
 	"strings"
 	"testing"
-
-	"wasched/internal/farm"
 )
 
 // sweepDigestFile pins the stdout of `wasched sweep run <name> -seed 1`
@@ -48,17 +45,8 @@ func TestSweepDigestsMatchStored(t *testing.T) {
 	for _, name := range cheapSweeps {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			s := Sweeps()[name]
-			cfg := SweepConfig{Seed: 1}
-			sum, err := farm.Run(context.Background(), name, s.Cells(cfg), s.Exec(cfg), farm.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sum.Err(); err != nil {
-				t.Fatal(err)
-			}
 			var out strings.Builder
-			if err := s.Report(&out, cfg, sum); err != nil {
+			if err := Sweeps()[name].Run(&out, SweepConfig{Seed: 1}, 0); err != nil {
 				t.Fatal(err)
 			}
 			h := sha256.Sum256([]byte(out.String()))

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -13,9 +12,8 @@ import (
 	"wasched/internal/workload"
 )
 
-// SweepConfig parameterises a registered sweep. The orchestration knobs
-// (workers, state dir, progress, interruption) live in farm.Options and are
-// supplied by the caller driving farm.Run.
+// SweepConfig parameterises a registered sweep. The worker count lives in
+// farm.Options and is supplied by the caller driving farm.Run.
 type SweepConfig struct {
 	// Seed varies the stochastic parts; identical seeds reproduce identical
 	// cells and results.
@@ -25,11 +23,10 @@ type SweepConfig struct {
 	Repeats int
 }
 
-// Sweep is one registered cell sweep, runnable and resumable through
-// `wasched sweep`. Cells must be a pure function of the config so that a
-// resumed invocation re-enumerates exactly the cells of the interrupted
-// one, and Exec must derive all randomness from the cell (see farm.Cell)
-// so cached and fresh results agree bit for bit.
+// Sweep is one registered cell sweep, runnable through `wasched sweep
+// run`. Cells must be a pure function of the config, and Exec must derive
+// all randomness from the cell (see farm.Cell), so the report is the same
+// bit for bit for any worker count.
 type Sweep struct {
 	Name        string
 	Description string
@@ -40,6 +37,16 @@ type Sweep struct {
 	// Report aggregates a completed summary into human-readable output. It
 	// must fail (not partially report) when the summary holds failed cells.
 	Report func(w io.Writer, cfg SweepConfig, sum *farm.Summary) error
+}
+
+// Run executes the sweep's cells on a pool of workers (<= 0: GOMAXPROCS)
+// and writes its report: what `wasched sweep run` prints.
+func (s Sweep) Run(w io.Writer, cfg SweepConfig, workers int) error {
+	sum, err := farm.Run(s.Cells(cfg), s.Exec(cfg), farm.Options{Workers: workers})
+	if err != nil {
+		return err
+	}
+	return s.Report(w, cfg, sum)
 }
 
 // Sweeps returns every registered sweep, keyed by name.
@@ -61,7 +68,7 @@ func Sweeps() map[string]Sweep {
 		},
 		{
 			Name:        "fig6-smoke",
-			Description: "miniature fig6 matrix (smoke workload, 2 repeats) for exercising resume",
+			Description: "miniature fig6 matrix (smoke workload, 2 repeats) for quick checks",
 			Cells:       func(cfg SweepConfig) []farm.Cell { return Fig6Cells(fig6SmokeConfig(cfg)) },
 			Exec:        func(cfg SweepConfig) farm.Exec { return Fig6Exec(fig6SmokeConfig(cfg)) },
 			Report: func(w io.Writer, cfg SweepConfig, sum *farm.Summary) error {
@@ -183,21 +190,21 @@ func panelCells(experiment string, variants []Variant) func(SweepConfig) []farm.
 	}
 }
 
-// panelPayload is the cached digest of one figure panel: the sweep drops
-// the series recorders (use `wasched run fig3 -csv` for those) and keeps
-// the summary numbers.
+// panelPayload is the digest of one figure panel: the sweep drops the
+// series recorders (use `wasched run fig3 -csv` for those) and keeps the
+// summary numbers.
 type panelPayload struct {
-	Label      string  `json:"label"`
-	Makespan   float64 `json:"makespan_s"`
-	BusyNodes  float64 `json:"busy_nodes"`
-	Throughput float64 `json:"throughput_gib_s"`
-	MedianWait float64 `json:"median_wait_s"`
-	Bsld       float64 `json:"bounded_slowdown"`
+	Label      string
+	Makespan   float64
+	BusyNodes  float64
+	Throughput float64
+	MedianWait float64
+	Bsld       float64
 }
 
 func panelExec(run func(string, uint64) (*RunResult, error)) func(SweepConfig) farm.Exec {
 	return func(SweepConfig) farm.Exec {
-		return func(_ context.Context, c farm.Cell) (any, error) {
+		return func(c farm.Cell) (any, error) {
 			res, err := run(c.Config, c.Seed)
 			if err != nil {
 				return nil, err
@@ -221,11 +228,7 @@ func panelReport(title string, variants []Variant) func(io.Writer, SweepConfig, 
 		}
 		byKey := make(map[string]panelPayload, len(sum.Outcomes))
 		for _, o := range sum.Outcomes {
-			var p panelPayload
-			if err := o.Decode(&p); err != nil {
-				return err
-			}
-			byKey[o.Cell.Config] = p
+			byKey[o.Cell.Config] = o.Value().(panelPayload)
 		}
 		fmt.Fprintf(w, "=== %s ===\n\n", title)
 		fmt.Fprintf(w, "%-45s %12s %9s %6s %9s %10s %8s\n",
@@ -276,10 +279,7 @@ func reportCorpus(w io.Writer, _ SweepConfig, sum *farm.Summary) error {
 	fmt.Fprintf(w, "%-14s %6s %6s %9s %9s\n", "kind", "seed", "jobs", "checked", "warnings")
 	jobs, checked := 0, 0
 	for _, o := range sum.Outcomes {
-		var p schedcheck.CorpusPayload
-		if err := o.Decode(&p); err != nil {
-			return err
-		}
+		p := o.Value().(schedcheck.CorpusPayload)
 		fmt.Fprintf(w, "%-14s %6d %6d %9d %9d\n", p.Kind, p.Seed, p.Jobs, p.JobsChecked, p.Warnings)
 		jobs += p.Jobs
 		checked += p.JobsChecked

@@ -2,10 +2,7 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
-	"strings"
 	"testing"
 
 	"wasched/internal/farm"
@@ -42,16 +39,14 @@ func TestFig6FarmDeterminism(t *testing.T) {
 	}
 }
 
-// TestSweepRegistry checks every registered sweep enumerates cells with the
-// experiment name spaces kept distinct (a collision would let one sweep's
-// cached results poison another's).
+// TestSweepRegistry checks every registered sweep is complete and
+// enumerates cells without duplicates (farm.Run rejects those).
 func TestSweepRegistry(t *testing.T) {
 	reg := Sweeps()
 	if len(reg) == 0 {
 		t.Fatal("no sweeps registered")
 	}
 	cfg := SweepConfig{Seed: 1}
-	keys := make(map[string]string) // cell key → sweep name
 	for _, name := range SweepNames() {
 		s := reg[name]
 		if s.Cells == nil || s.Exec == nil || s.Report == nil {
@@ -61,18 +56,18 @@ func TestSweepRegistry(t *testing.T) {
 		if len(cells) == 0 {
 			t.Fatalf("sweep %s enumerates no cells", name)
 		}
+		seen := make(map[farm.Cell]bool, len(cells))
 		for _, c := range cells {
-			if owner, dup := keys[c.Key()]; dup {
-				t.Fatalf("cell %s of sweep %s collides with sweep %s", c, name, owner)
+			if seen[c] {
+				t.Fatalf("sweep %s enumerates cell %s twice", name, c)
 			}
-			keys[c.Key()] = name
+			seen[c] = true
 		}
 	}
 }
 
-// TestSweepConfigReproducibleCells pins the resume contract: Cells must be
-// a pure function of the config, or a resumed sweep would enumerate
-// different work than the interrupted one.
+// TestSweepConfigReproducibleCells: Cells must be a pure function of the
+// config, or the same invocation could report different work.
 func TestSweepConfigReproducibleCells(t *testing.T) {
 	cfg := SweepConfig{Seed: 3, Repeats: 4}
 	for _, name := range SweepNames() {
@@ -86,57 +81,5 @@ func TestSweepConfigReproducibleCells(t *testing.T) {
 				t.Fatalf("sweep %s: cell %d varies across calls: %s vs %s", name, i, a[i], b[i])
 			}
 		}
-	}
-}
-
-// TestFig6SmokeSweepEndToEnd drives the smoke sweep exactly as
-// `make sweep-smoke` does — interrupt after three fresh cells, resume from
-// the journal — and checks the resumed report equals an uninterrupted one.
-func TestFig6SmokeSweepEndToEnd(t *testing.T) {
-	t.Parallel()
-	s := Sweeps()["fig6-smoke"]
-	cfg := SweepConfig{Seed: 1}
-	dir := t.TempDir()
-	run := func(opts farm.Options) (*farm.Summary, error) {
-		return farm.Run(context.Background(), "fig6-smoke", s.Cells(cfg), s.Exec(cfg), opts)
-	}
-	sum, err := run(farm.Options{Workers: 2, StateDir: dir, MaxFresh: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(sum.Err(), farm.ErrInterrupted) {
-		t.Fatalf("interrupted sweep reported %v", sum.Err())
-	}
-	resumed, err := run(farm.Options{Workers: 2, StateDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Cached != 3 {
-		t.Fatalf("resume served %d cells from cache, want 3", resumed.Cached)
-	}
-	var fromResume, fresh strings.Builder
-	if err := s.Report(&fromResume, cfg, resumed); err != nil {
-		t.Fatal(err)
-	}
-	clean, err := farm.Run(context.Background(), "fig6-smoke", s.Cells(cfg), s.Exec(cfg), farm.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Report(&fresh, cfg, clean); err != nil {
-		t.Fatal(err)
-	}
-	if fromResume.String() != fresh.String() {
-		t.Fatalf("resumed report differs from uninterrupted report:\n%s\nvs\n%s",
-			fromResume.String(), fresh.String())
-	}
-	st, err := farm.ReadStatus(dir, "fig6-smoke")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Runs != 2 || st.Remaining != 0 || st.Failed != 0 {
-		t.Fatalf("status after resume: %+v", st)
 	}
 }

@@ -59,26 +59,6 @@ func InspectShallow(n ast.Node, f func(ast.Node) bool) {
 	})
 }
 
-// InspectSync walks a whole function body but visits only what executes
-// synchronously when the function is called: nested function literals,
-// `go` statements and deferred calls are skipped, and select statements
-// are judged whole (their clauses never descend — a comm op inside a
-// select follows select semantics, not plain channel-op semantics). Used
-// by call-graph summary scans.
-func InspectSync(body *ast.BlockStmt, f func(ast.Node) bool) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n.(type) {
-		case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
-			return false
-		}
-		if !f(n) {
-			return false
-		}
-		_, isSelect := n.(*ast.SelectStmt)
-		return !isSelect
-	})
-}
-
 // cfgBuilder carries the construction state: the block under
 // construction, the label table, and the loop/switch stacks break and
 // continue resolve against.

@@ -50,21 +50,20 @@ func hasPathPrefix(path, prefix string) bool {
 //     simulation. internal/experiments and the CLIs are orchestration —
 //     wall-clock progress reporting there is legitimate — but internal/farm
 //     is included even though it is orchestration too: its cells promise
-//     bit-identical replay, so its deliberate wall-clock uses (journal
-//     timestamps, ETAs) must each carry an allow rationale.
+//     bit-identical results for any worker count, so it must not read the
+//     wall clock or a global RNG.
 //   - maporder and tickerstop run everywhere; ordered effects and ticker
 //     leaks are never right.
-//   - checkederr runs where state files are written: the farm's cache
-//     and journal, the bb ledger and series writers, and the CLIs that
-//     write reports and state dirs.
+//   - checkederr runs where a dropped error would lose results silently:
+//     the farm (every cell error must become a failed outcome), the bb
+//     ledger and series writers, and the CLIs that write reports, traces
+//     and benchmark trajectories.
 //   - floatguard runs where rate/throughput arithmetic lives: the
 //     scheduler policies, the resource/file-system models and the
 //     token-bucket layer (fair-share division and borrow scaling are
 //     ratio-heavy).
-//   - lockdiscipline and goroleak run on the farm's worker pool, whose
-//     state mutex serializes every journal and cache write: one blocking
-//     call under it stalls every worker, and one detached goroutine
-//     outlives the sweep that owns it. goroleak also covers the CLIs, so
+//   - goroleak runs on the farm's worker pool, where one detached
+//     goroutine would outlive the sweep that owns it, and on the CLIs, so
 //     a goroutine one of them starts cannot outlive its command.
 //   - unitsafe runs where bytes/GiB/rate/time arithmetic mixes: the
 //     scheduler, the resource trackers, the pfs, bb and tbf models and
@@ -103,10 +102,6 @@ func Suite() []ScopedAnalyzer {
 				"wasched/internal/bb",
 				"wasched/internal/tbf",
 			},
-		},
-		{
-			Analyzer: Lockdiscipline,
-			Include:  []string{"wasched/internal/farm"},
 		},
 		{
 			Analyzer: Goroleak,

@@ -1,7 +1,6 @@
 package schedcheck
 
 import (
-	"context"
 	"fmt"
 
 	"wasched/internal/farm"
@@ -12,9 +11,9 @@ import (
 func CorpusSeeds() []uint64 { return []uint64{1, 2, 3, 4, 5} }
 
 // CorpusCells enumerates the differential corpus as farm work units, one
-// cell per (kind, seed). The experiment name keys the farm's result cache,
-// so callers embedding the corpus in different sweeps should pass distinct
-// names.
+// cell per (kind, seed). The experiment name is the cells' Experiment
+// field, so callers embedding the corpus in different sweeps should pass
+// distinct names.
 func CorpusCells(experiment string, seeds []uint64) []farm.Cell {
 	if len(seeds) == 0 {
 		seeds = CorpusSeeds()
@@ -29,22 +28,22 @@ func CorpusCells(experiment string, seeds []uint64) []farm.Cell {
 }
 
 // CorpusPayload is the deterministic per-cell result of a corpus cell: a
-// compact digest of the differential run (the full traces stay in memory;
-// the digest is what the farm caches and compares).
+// compact digest of the differential run (the full traces stay in the
+// cell; the digest is what the sweep reports).
 type CorpusPayload struct {
-	Kind        string             `json:"kind"`
-	Seed        uint64             `json:"seed"`
-	Jobs        int                `json:"jobs"`
-	JobsChecked int                `json:"jobs_checked"`
-	Warnings    int                `json:"warnings"`
-	Makespans   map[string]float64 `json:"makespans_s"`
+	Kind        string
+	Seed        uint64
+	Jobs        int
+	JobsChecked int
+	Warnings    int
+	Makespans   map[string]float64 // seconds
 }
 
 // CorpusExec returns the farm executor for differential-corpus cells: it
 // generates the cell's seeded workload, replays it through every policy,
 // and fails the cell on any invariant or metamorphic violation.
 func CorpusExec(nodes int, limit float64) farm.Exec {
-	return func(_ context.Context, c farm.Cell) (any, error) {
+	return func(c farm.Cell) (any, error) {
 		kind := WorkloadKind(c.Config)
 		w := Generate(kind, c.Seed, nodes, limit)
 		if len(w) == 0 {

@@ -1,7 +1,6 @@
 package schedcheck
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -26,8 +25,7 @@ func TestDifferentialCorpus(t *testing.T) {
 	if len(cells) < 20 {
 		t.Fatalf("differential corpus holds %d workloads, want >= 20", len(cells))
 	}
-	sum, err := farm.Run(context.Background(), "schedcheck-test", cells,
-		CorpusExec(testNodes, testLimit), farm.Options{})
+	sum, err := farm.Run(cells, CorpusExec(testNodes, testLimit), farm.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,10 +34,7 @@ func TestDifferentialCorpus(t *testing.T) {
 			t.Errorf("%s: %s", o.Cell, o.Err)
 			continue
 		}
-		var p CorpusPayload
-		if err := o.Decode(&p); err != nil {
-			t.Fatal(err)
-		}
+		p := o.Value().(CorpusPayload)
 		want := len(PolicyLabels())
 		if WorkloadKind(p.Kind).HasBB() {
 			want += len(BBPolicyLabels())

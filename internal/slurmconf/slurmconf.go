@@ -40,6 +40,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -102,19 +103,19 @@ type priorityKeys struct {
 func apply(cfg *core.Config, prio *priorityKeys, key, value string) error {
 	switch strings.ToLower(key) {
 	case "priorityweightage":
-		f, err := strconv.ParseFloat(value, 64)
+		f, err := parseFloat(value)
 		if err != nil || f < 0 {
 			return fmt.Errorf("PriorityWeightAge: %q", value)
 		}
 		prio.set, prio.age = true, f
 	case "priorityweightjobsize":
-		f, err := strconv.ParseFloat(value, 64)
+		f, err := parseFloat(value)
 		if err != nil || f < 0 {
 			return fmt.Errorf("PriorityWeightJobSize: %q", value)
 		}
 		prio.set, prio.size = true, f
 	case "priorityweightfairshare":
-		f, err := strconv.ParseFloat(value, 64)
+		f, err := parseFloat(value)
 		if err != nil || f < 0 {
 			return fmt.Errorf("PriorityWeightFairshare: %q", value)
 		}
@@ -147,7 +148,7 @@ func apply(cfg *core.Config, prio *priorityKeys, key, value string) error {
 		}
 		cfg.Control.Preemption.PriorityGap = n
 	case "ratequantile":
-		f, err := strconv.ParseFloat(value, 64)
+		f, err := parseFloat(value)
 		if err != nil || f < 0 || f > 1 {
 			return fmt.Errorf("RateQuantile: want 0..1, got %q", value)
 		}
@@ -195,7 +196,7 @@ func apply(cfg *core.Config, prio *priorityKeys, key, value string) error {
 		}
 		cfg.Scheduler.ThroughputLimit = v
 	case "twogroupqosfraction":
-		f, err := strconv.ParseFloat(value, 64)
+		f, err := parseFloat(value)
 		if err != nil || f < 0 || f > 1 {
 			return fmt.Errorf("TwoGroupQoSFraction: want 0..1, got %q", value)
 		}
@@ -233,13 +234,13 @@ func apply(cfg *core.Config, prio *priorityKeys, key, value string) error {
 		}
 		cfg.FS.CongestionKnee = n
 	case "pfscongestionperstream":
-		f, err := strconv.ParseFloat(value, 64)
+		f, err := parseFloat(value)
 		if err != nil || f < 0 {
 			return fmt.Errorf("PFSCongestionPerStream: %q", value)
 		}
 		cfg.FS.CongestionPerStream = f
 	case "pfsnoisesigma":
-		f, err := strconv.ParseFloat(value, 64)
+		f, err := parseFloat(value)
 		if err != nil || f < 0 || f > 1 {
 			return fmt.Errorf("PFSNoiseSigma: %q", value)
 		}
@@ -263,7 +264,7 @@ func apply(cfg *core.Config, prio *priorityKeys, key, value string) error {
 		}
 		cfg.Analytics.ThroughputWindow = d
 	case "estimatoralpha":
-		f, err := strconv.ParseFloat(value, 64)
+		f, err := parseFloat(value)
 		if err != nil || f <= 0 || f > 1 {
 			return fmt.Errorf("EstimatorAlpha: %q", value)
 		}
@@ -319,8 +320,23 @@ func applySchedulerParameters(cfg *core.Config, value string) error {
 	return nil
 }
 
+// parseFloat parses a finite number. The callers' range checks cannot
+// refuse NaN (it compares false both ways) nor +Inf where only a lower
+// bound applies, so both are refused here.
+func parseFloat(s string) (float64, error) {
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, fmt.Errorf("want a finite number, got %q", s)
+	}
+	return f, nil
+}
+
 // parseBytes parses "20GiB", "450MiB", "1073741824" into bytes (per
-// second, in the contexts this package uses it).
+// second, in the contexts this package uses it). The result must be
+// finite: "1e308GiB" overflows to +Inf.
 func parseBytes(s string) (float64, error) {
 	mult := 1.0
 	lower := strings.ToLower(s)
@@ -335,18 +351,25 @@ func parseBytes(s string) (float64, error) {
 		mult = 1 << 10
 		s = s[:len(s)-3]
 	}
-	f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil || f < 0 {
+	f, err := parseFloat(strings.TrimSpace(s))
+	if err != nil || f < 0 || math.IsInf(f*mult, 0) {
 		return 0, fmt.Errorf("want a byte quantity (e.g. 20GiB), got %q", s)
 	}
 	return f * mult, nil
 }
 
-// parseSeconds parses a duration given in (possibly fractional) seconds.
+// maxSeconds bounds every duration key at a century, as internal/workload
+// bounds trace times: far past any configuration, and well inside des's
+// int64 microsecond clock, which a value such as 1e300 would overflow into
+// a negative duration.
+const maxSeconds = 100 * 365 * 24 * 3600
+
+// parseSeconds parses a duration given in (possibly fractional) seconds,
+// finite and in [0, maxSeconds].
 func parseSeconds(s string) (des.Duration, error) {
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil || f < 0 {
-		return 0, fmt.Errorf("want seconds, got %q", s)
+	f, err := parseFloat(s)
+	if err != nil || f < 0 || f > maxSeconds {
+		return 0, fmt.Errorf("want seconds in [0, %d], got %q", maxSeconds, s)
 	}
 	return des.FromSeconds(f), nil
 }

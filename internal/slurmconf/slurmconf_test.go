@@ -135,10 +135,32 @@ func TestParseErrors(t *testing.T) {
 		"ThroughputWindow=-2",
 		"EstimatorAlpha=0",
 		"UseDeclaredRates=possibly",
+		// Non-finite and overflowing values once passed every range check.
+		"PriorityWeightAge=NaN",
+		"PFSCongestionPerStream=NaN",
+		"ThroughputLimit=NaN",    // became a NaN limit
+		"ThroughputLimit=InfGiB", //
+		"ThroughputLimit=1e308GiB",
+		"SampleInterval=NaN",   // became -9.2e12 s
+		"SampleInterval=1e300", // became -9.2e12 s
+		"LDMSRetention=1e300",
+		"RateQuantile=NaN",
+		"TwoGroupQoSFraction=NaN",
+		"EstimatorAlpha=NaN",
+		"PFSNoiseSigma=NaN",
+		"PFSServerCap=+Inf",
+		"PreemptExemptTime=3153600001", // a second past a century
+		"SchedulerParameters=bf_interval=NaN",
 	}
 	for _, line := range bad {
 		if _, err := Parse(strings.NewReader(line)); err == nil {
 			t.Errorf("line %q must fail", line)
+		}
+	}
+	// The bounds themselves are in range.
+	for _, line := range []string{"LDMSRetention=3153600000", "ThroughputLimit=1e300"} {
+		if _, err := Parse(strings.NewReader(line)); err != nil {
+			t.Errorf("line %q: %v", line, err)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"wasched/internal/cluster"
 	"wasched/internal/des"
@@ -26,7 +27,8 @@ import (
 //
 // A phased program nests n sub-programs back to back (each sub-program has
 // a fixed arity, so the encoding is unambiguous). The fingerprint defaults
-// to the name. Fields are whitespace-separated.
+// to the name. Fields are whitespace-separated, so Encode refuses a name
+// that is empty or contains whitespace (unicode.IsSpace).
 //
 // An optional `bb <gib>` token between the priority and the program
 // declares the job's burst-buffer reservation; jobs without it use no
@@ -52,6 +54,9 @@ func Encode(w io.Writer, jobs []TimedSpec) error {
 	fmt.Fprintln(bw, "# wasched workload v1")
 	fmt.Fprintln(bw, "# submit_s name nodes limit_s priority program...")
 	for i, tj := range jobs {
+		if name := tj.Spec.Name; name == "" || strings.IndexFunc(name, unicode.IsSpace) >= 0 {
+			return fmt.Errorf("workload: job %d: name %q is empty or contains whitespace", i, name)
+		}
 		prog, err := encodeProgram(tj.Spec.Program)
 		if err != nil {
 			return fmt.Errorf("workload: job %d (%s): %w", i, tj.Spec.Name, err)

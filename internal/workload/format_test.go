@@ -91,15 +91,20 @@ func checkProgram(p cluster.Program) error {
 // FuzzDecode feeds arbitrary text to Decode. Whatever it accepts must be
 // runnable (times in range, positive limits, counts and sizes) and must
 // survive an Encode→Decode round trip unchanged, bb token included, to
-// the microsecond.
+// the microsecond. The same jobs with the first renamed to an arbitrary
+// string must either be refused by Encode or survive the trip too.
 func FuzzDecode(f *testing.F) {
-	f.Add("0 w 1 1200 0 write 8 10\n600.5 s 2 900 -3 sleep 600\n")
-	f.Add("10 staged 2 600 5 bb 12.5 read 4 2\n20 b 1 3000 0 bursty 3 60 2 1\n")
-	f.Add("5 ck 1 900 0 bb 0.25 phased 3 read 8 20 sleep 120 write 8 40\n")
-	f.Add("NaN a 1 10 0 sleep 1\n0 a 1 10 0 phased NaN sleep 1\n0 a 1 10 0 bb NaN write 1e30 1\n")
+	f.Add("0 w 1 1200 0 write 8 10\n600.5 s 2 900 -3 sleep 600\n", "w")
+	f.Add("10 staged 2 600 5 bb 12.5 read 4 2\n20 b 1 3000 0 bursty 3 60 2 1\n", "staged")
+	f.Add("5 ck 1 900 0 bb 0.25 phased 3 read 8 20 sleep 120 write 8 40\n", "ck")
+	f.Add("NaN a 1 10 0 sleep 1\n0 a 1 10 0 phased NaN sleep 1\n0 a 1 10 0 bb NaN write 1e30 1\n", "a")
 	// Truncating these times to the microsecond drifted on the round trip.
-	f.Add("256.72209 a 1 256.72209 0 sleep 8310.596133\n")
-	f.Fuzz(func(t *testing.T, in string) {
+	f.Add("256.72209 a 1 256.72209 0 sleep 8310.596133\n", "a")
+	// Encode once wrote these names into lines Decode rejects.
+	f.Add("0 j 1 10 0 sleep 1\n", "a b")
+	f.Add("0 j 1 10 0 sleep 1\n", "a\tb")
+	f.Add("0 j 1 10 0 sleep 1\n", "")
+	f.Fuzz(func(t *testing.T, in, name string) {
 		jobs, err := Decode(strings.NewReader(in))
 		if err != nil {
 			return
@@ -113,16 +118,26 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("job %d: %v", i, err)
 			}
 		}
-		var buf bytes.Buffer
-		if err := Encode(&buf, jobs); err != nil {
+		roundTrip := func(jobs []TimedSpec) error {
+			var buf bytes.Buffer
+			if err := Encode(&buf, jobs); err != nil {
+				return err
+			}
+			again, err := Decode(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatalf("decode of encoded jobs: %v\n%s", err, buf.String())
+			}
+			if !reflect.DeepEqual(jobs, again) {
+				t.Fatalf("round trip changed the jobs:\n%+v\n%+v", jobs, again)
+			}
+			return nil
+		}
+		if err := roundTrip(jobs); err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		again, err := Decode(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("decode of encoded jobs: %v\n%s", err, buf.String())
-		}
-		if !reflect.DeepEqual(jobs, again) {
-			t.Fatalf("round trip changed the jobs:\n%+v\n%+v", jobs, again)
+		if len(jobs) > 0 {
+			jobs[0].Spec.Name, jobs[0].Spec.Fingerprint = name, name
+			_ = roundTrip(jobs) // a refused name is fine; a name that does not survive is not
 		}
 	})
 }

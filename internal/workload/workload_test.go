@@ -250,20 +250,25 @@ type oddProgram struct{}
 
 func (oddProgram) Start(*cluster.Context, []string, func()) func() { return func() {} }
 
+// TestEncodeRejectsUnknownProgram: Encode refuses every job it cannot
+// write as a line Decode reads back — unknown program types, nested or
+// not, and names that are empty or contain whitespace.
 func TestEncodeRejectsUnknownProgram(t *testing.T) {
-	jobs := []TimedSpec{{Spec: slurm.JobSpec{
-		Name: "odd", Nodes: 1, Limit: des.Second,
-		Program: oddProgram{},
-	}}}
-	if err := Encode(&bytes.Buffer{}, jobs); err == nil {
-		t.Fatal("unknown program types must fail to encode")
-	}
-	nested := []TimedSpec{{Spec: slurm.JobSpec{
-		Name: "odd", Nodes: 1, Limit: des.Second,
-		Program: cluster.PhasedProgram{Phases: []cluster.Program{oddProgram{}}},
-	}}}
-	if err := Encode(&bytes.Buffer{}, nested); err == nil {
-		t.Fatal("unknown nested program types must fail to encode")
+	sleep := cluster.SleepProgram{D: des.Second}
+	for _, tc := range []struct {
+		what string
+		spec slurm.JobSpec
+	}{
+		{"unknown program", slurm.JobSpec{Name: "odd", Nodes: 1, Limit: des.Second, Program: oddProgram{}}},
+		{"unknown nested program", slurm.JobSpec{Name: "odd", Nodes: 1, Limit: des.Second,
+			Program: cluster.PhasedProgram{Phases: []cluster.Program{oddProgram{}}}}},
+		{"name with a space", slurm.JobSpec{Name: "a b", Nodes: 1, Limit: des.Second, Program: sleep}},
+		{"name with a tab", slurm.JobSpec{Name: "a\tb", Nodes: 1, Limit: des.Second, Program: sleep}},
+		{"empty name", slurm.JobSpec{Name: "", Nodes: 1, Limit: des.Second, Program: sleep}},
+	} {
+		if err := Encode(&bytes.Buffer{}, []TimedSpec{{Spec: tc.spec}}); err == nil {
+			t.Errorf("%s: encoded without error", tc.what)
+		}
 	}
 }
 
